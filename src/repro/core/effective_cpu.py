@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from repro.kernel.cgroup import Cgroup
 
-__all__ = ["UTIL_THRESHOLD", "CpuViewParams", "CpuBounds", "compute_cpu_bounds",
-           "step_effective_cpu"]
+__all__ = ["UTIL_THRESHOLD", "CpuViewParams", "CpuBounds", "share_cpus",
+           "cpu_bounds", "compute_cpu_bounds", "step_effective_cpu"]
 
 #: The paper's empirically chosen UTIL_THRSHD.
 UTIL_THRESHOLD = 0.95
@@ -75,6 +75,30 @@ def _as_cpu_count(cores: float) -> int:
     return max(1, math.floor(cores + 1e-9))
 
 
+def share_cpus(shares: int, total_shares: int, ncpus: int) -> int:
+    """The share term ``ceil(w_i / sum(w_j) * |P|)`` of LOWER_CPU, at least 1.
+
+    Non-decreasing in ``shares`` and, for a positive total, non-increasing
+    in ``total_shares``: correctly rounded division, multiplication and
+    subtraction are monotone, and so is ``ceil``.  ``ns_monitor`` relies
+    on this to stop its refresh walk at the first namespace whose term
+    is 1.
+    """
+    if total_shares <= 0:
+        return max(1, ncpus)
+    return max(1, math.ceil(shares / total_shares * ncpus - 1e-9))
+
+
+def cpu_bounds(cg: Cgroup, total_shares: int, ncpus: int) -> CpuBounds:
+    """Static bounds for one container, given the contention set's ``sum(w_j)``."""
+    quota_cpus = _as_cpu_count(cg.quota_cores)
+    mask_cpus = len(cg.effective_cpuset())
+    upper = max(1, min(quota_cpus, mask_cpus))
+    lower = max(1, min(quota_cpus, mask_cpus,
+                       share_cpus(cg.cpu.shares, total_shares, ncpus)))
+    return CpuBounds(lower=lower, upper=min(upper, ncpus))
+
+
 def compute_cpu_bounds(cg: Cgroup, all_shares: list[int], ncpus: int) -> CpuBounds:
     """Static bounds for one container's effective CPU.
 
@@ -82,17 +106,7 @@ def compute_cpu_bounds(cg: Cgroup, all_shares: list[int], ncpus: int) -> CpuBoun
     a ``sys_namespace`` (including ``cg`` itself) — the contention set
     over which the share fraction ``w_i / sum(w_j)`` is taken.
     """
-    quota_cpus = _as_cpu_count(cg.quota_cores)
-    mask_cpus = len(cg.effective_cpuset())
-    total_shares = sum(all_shares)
-    if total_shares <= 0:
-        share_cpus = ncpus
-    else:
-        share_cpus = math.ceil(cg.cpu.shares / total_shares * ncpus - 1e-9)
-    share_cpus = max(1, share_cpus)
-    upper = max(1, min(quota_cpus, mask_cpus))
-    lower = max(1, min(quota_cpus, mask_cpus, share_cpus))
-    return CpuBounds(lower=lower, upper=min(upper, ncpus))
+    return cpu_bounds(cg, sum(all_shares), ncpus)
 
 
 def step_effective_cpu(e_cpu: int, bounds: CpuBounds, *, usage: float,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.effective_cpu import (CpuBounds, CpuViewParams, compute_cpu_bounds,
+from repro.core.effective_cpu import (CpuBounds, CpuViewParams, cpu_bounds,
                                       step_effective_cpu)
 from repro.core.effective_memory import (MemorySample, MemViewParams,
                                          step_effective_memory)
@@ -78,15 +78,18 @@ class SysNamespace(Namespace):
 
     # -- bounds / limits (ns_monitor entry points) --------------------------
 
-    def refresh_cpu_bounds(self, all_shares: list[int]) -> None:
-        """Recompute LOWER/UPPER (Algorithm 1 lines 4–5) and clamp E_CPU."""
-        self.bounds = compute_cpu_bounds(self.cgroup, all_shares,
-                                         self.scheduler.host.ncpus)
+    def refresh_cpu_bounds(self, total_shares: int) -> None:
+        """Recompute LOWER/UPPER (Algorithm 1 lines 4–5) and clamp E_CPU.
+
+        ``total_shares`` is ``sum(w_j)`` over every registered namespace.
+        """
+        self.bounds = cpu_bounds(self.cgroup, total_shares,
+                                 self.scheduler.host.ncpus)
         self.e_cpu = self.bounds.clamp(self.e_cpu)
 
-    def initialize_cpu(self, all_shares: list[int]) -> None:
+    def initialize_cpu(self, total_shares: int) -> None:
         """Set E_CPU to the lower bound (Algorithm 1 line 6)."""
-        self.refresh_cpu_bounds(all_shares)
+        self.refresh_cpu_bounds(total_shares)
         self.e_cpu = self.bounds.lower
 
     def refresh_memory_limits(self) -> None:

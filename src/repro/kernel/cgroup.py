@@ -47,6 +47,17 @@ DEFAULT_SHARES = 1024
 DEFAULT_PERIOD_US = 100_000
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an ``int``; non-finite or fractional values are rejected."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise CgroupError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 class CgroupEventKind(enum.Enum):
     CREATED = "created"
     DESTROYED = "destroyed"
@@ -255,21 +266,30 @@ class Cgroup:
     # -- configuration (the "echo > cgroupfs" surface) -----------------------
 
     def set_cpu_shares(self, shares: int) -> None:
+        shares = _integral(shares, "cpu.shares")
         if shares < 2:
             raise CgroupError(f"cpu.shares must be >= 2, got {shares}")
-        self.cpu.shares = int(shares)
+        self.cpu.shares = shares
         self.root._notify(CgroupEvent(CgroupEventKind.CPU_CHANGED, self))
         self.root.scheduler_dirty(self)
 
     def set_cpu_quota(self, quota_us: int | None, period_us: int | None = None) -> None:
-        """Set ``cfs_quota_us``/``cfs_period_us``; ``quota_us=None`` lifts it."""
+        """Set ``cfs_quota_us``/``cfs_period_us``; ``quota_us=None`` lifts it.
+
+        Both values are validated before either is written, so a rejected
+        write leaves the group unchanged.
+        """
         if period_us is not None:
+            period_us = _integral(period_us, "cfs_period_us")
             if period_us < 1000:
                 raise CgroupError(f"cfs_period_us must be >= 1000, got {period_us}")
-            self.cpu.cfs_period_us = int(period_us)
-        if quota_us is not None and quota_us <= 0:
-            raise CgroupError(f"cfs_quota_us must be positive or None, got {quota_us}")
-        self.cpu.cfs_quota_us = None if quota_us is None else int(quota_us)
+        if quota_us is not None:
+            quota_us = _integral(quota_us, "cfs_quota_us")
+            if quota_us <= 0:
+                raise CgroupError(f"cfs_quota_us must be positive or None, got {quota_us}")
+        if period_us is not None:
+            self.cpu.cfs_period_us = period_us
+        self.cpu.cfs_quota_us = quota_us
         self.root._notify(CgroupEvent(CgroupEventKind.CPU_CHANGED, self))
         self.root.scheduler_dirty(self)
 
@@ -286,14 +306,19 @@ class Cgroup:
         self.root.scheduler_dirty(self, topology=True)
 
     def set_memory_limit(self, limit: int | None) -> None:
-        if limit is not None and limit <= 0:
-            raise CgroupError(f"memory.limit_in_bytes must be positive, got {limit}")
+        if limit is not None:
+            limit = _integral(limit, "memory.limit_in_bytes")
+            if limit <= 0:
+                raise CgroupError(f"memory.limit_in_bytes must be positive, got {limit}")
         self.memory.limit_in_bytes = limit
         self.root._notify(CgroupEvent(CgroupEventKind.MEMORY_CHANGED, self))
 
     def set_memory_soft_limit(self, limit: int | None) -> None:
-        if limit is not None and limit <= 0:
-            raise CgroupError(f"memory.soft_limit_in_bytes must be positive, got {limit}")
+        if limit is not None:
+            limit = _integral(limit, "memory.soft_limit_in_bytes")
+            if limit <= 0:
+                raise CgroupError(
+                    f"memory.soft_limit_in_bytes must be positive, got {limit}")
         self.memory.soft_limit_in_bytes = limit
         self.root._notify(CgroupEvent(CgroupEventKind.MEMORY_CHANGED, self))
 

@@ -1,11 +1,17 @@
 """Tests for the cgroup hierarchy, controllers, and event bus."""
 
+import math
+
 import pytest
 
+from repro.container.spec import ContainerSpec
+from repro.core.effective_cpu import compute_cpu_bounds
 from repro.errors import CgroupError
 from repro.kernel.cgroup import (DEFAULT_SHARES, CgroupEventKind, CgroupRoot)
 from repro.kernel.cpu import CpuSet, HostCpus
 from repro.kernel.task import SimThread
+from repro.units import gib
+from repro.world import World
 
 
 @pytest.fixture
@@ -161,6 +167,70 @@ class TestMemoryController:
         m.resident = 100
         m.swapped = 50
         assert m.usage_in_bytes == 150
+
+
+class TestRejectedWrites:
+    """A rejected write raises CgroupError, changes nothing, fires nothing."""
+
+    @staticmethod
+    def watched(root):
+        c, seen = root.root.create_child("c"), []
+        root.subscribe(seen.append)
+        return c, seen
+
+    def test_quota_rejection_keeps_period(self):
+        world = World(ncpus=8, memory=gib(4))
+        c = world.containers.create(ContainerSpec("c0"))
+        c.cgroup.set_cpu_quota(400_000, 100_000)
+        with pytest.raises(CgroupError):
+            c.cgroup.set_cpu_quota(-1, 200_000)
+        assert c.cgroup.cpu.cfs_period_us == 100_000
+        assert c.cgroup.cpu.cfs_quota_us == 400_000
+        assert c.sys_ns.bounds == compute_cpu_bounds(
+            c.cgroup, [c.cgroup.cpu.shares], 8)
+        assert (c.sys_ns.bounds.lower, c.sys_ns.bounds.upper) == (4, 4)
+
+    @pytest.mark.parametrize("quota,period", [
+        (math.inf, None), (math.nan, None), (150_000.5, None),
+        (100_000, math.inf), (100_000, math.nan), (100_000, 2500.5)])
+    def test_quota_rejects_non_finite_and_fractional(self, root, quota, period):
+        c, seen = self.watched(root)
+        c.set_cpu_quota(200_000, 100_000)
+        del seen[:]
+        with pytest.raises(CgroupError):
+            c.set_cpu_quota(quota, period)
+        assert (c.cpu.cfs_quota_us, c.cpu.cfs_period_us) == (200_000, 100_000)
+        assert seen == []
+
+    @pytest.mark.parametrize("shares", [2.5, math.nan, math.inf, "2048"])
+    def test_shares_rejects_non_finite_and_fractional(self, root, shares):
+        c, seen = self.watched(root)
+        with pytest.raises(CgroupError):
+            c.set_cpu_shares(shares)
+        assert c.cpu.shares == DEFAULT_SHARES
+        assert seen == []
+
+    @pytest.mark.parametrize("setter", ["set_memory_limit",
+                                        "set_memory_soft_limit"])
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 1.5])
+    def test_memory_limits_reject_non_finite_and_fractional(self, root, setter,
+                                                             limit):
+        c, seen = self.watched(root)
+        with pytest.raises(CgroupError):
+            getattr(c, setter)(limit)
+        assert c.memory.limit_in_bytes is None
+        assert c.memory.soft_limit_in_bytes is None
+        assert seen == []
+
+    def test_integral_floats_are_stored_as_int(self, root):
+        c = root.root.create_child("c")
+        c.set_cpu_shares(2048.0)
+        c.set_cpu_quota(300_000.0, 100_000.0)
+        c.set_memory_limit(float(1 << 30))
+        assert type(c.cpu.shares) is int and c.cpu.shares == 2048
+        assert type(c.cpu.cfs_quota_us) is int
+        assert type(c.cpu.cfs_period_us) is int
+        assert type(c.memory.limit_in_bytes) is int
 
 
 class TestEventBus:
