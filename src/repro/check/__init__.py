@@ -2,24 +2,23 @@
 
 The correctness backbone of the simulator: seeded random scenarios
 (container churn, cgroup edits at random times, OOM-prone memory
-workloads, traffic-phase thread loops) run in lockstep on both engines
-(``incremental`` and ``scan``), with every boundary checked against a
-pluggable invariant suite and the two engines' state digests compared
-for byte-identical agreement.  Failures shrink to a minimal replayable
-JSON fixture under ``tests/regressions/``.
-
-A second differential axis runs one scenario under two *policy
-bundles* (:mod:`repro.check.policy_diff`): there the oracle is
-lawfulness under each run's own invariant suite, since distinct
-policies may lawfully allocate differently.
+workloads, traffic-phase thread loops) run under two or more
+*variants* — engines (``incremental``, ``scan``, ``vector``), policy
+bundles (``default``, ``burstable``, ``intent``, ...) or cluster shard
+layouts (``jobs=N``) — with every boundary checked against a pluggable
+invariant suite.  The *oracle* then judges the runs: ``identical``
+(engines, shard layouts) demands byte-identical state digests on top,
+``lawful`` (bundles, which may lawfully allocate differently) only the
+invariants.  Failures shrink to a minimal replayable JSON fixture
+under ``tests/regressions/``.
 
 Entry points::
 
     python -m repro check --seeds 200       # fixed-seed sweep (CI fast tier)
     python -m repro check --smoke 60        # randomized smoke, seed printed
     python -m repro check --replay FIX.json # re-run a committed fixture
-    python -m repro check --policy-diff default,burstable --seeds 50
-    python -m repro check --shard-diff --seeds 50   # jobs=1 vs sharded
+    python -m repro check --diff default,burstable --seeds 50
+    python -m repro check --diff jobs=1,jobs=2,jobs=3 --seeds 50
 """
 
 from repro.check.cluster_invariants import (check_cluster,
@@ -27,10 +26,8 @@ from repro.check.cluster_invariants import (check_cluster,
 from repro.check.differ import DiffReport, diff_snapshots, run_differential
 from repro.check.generator import generate
 from repro.check.invariants import Invariant, default_suite
-from repro.check.policy_diff import PolicyDiffReport, run_policy_differential
 from repro.check.runner import RunResult, run_scenario
 from repro.check.scenario import Scenario
-from repro.check.shard_diff import ShardDiffReport, run_shard_differential
 from repro.check.shrinker import shrink
 from repro.check.span_tree import check_span_tree
 
@@ -38,7 +35,5 @@ __all__ = [
     "Scenario", "generate", "Invariant", "default_suite",
     "RunResult", "run_scenario", "DiffReport", "diff_snapshots",
     "run_differential", "shrink",
-    "PolicyDiffReport", "run_policy_differential",
-    "ShardDiffReport", "run_shard_differential",
     "check_cluster", "check_cluster_snapshot", "check_span_tree",
 ]

@@ -1,28 +1,29 @@
 """``python -m repro check`` — drive the fuzzer from the command line.
 
-Modes (combinable with ``--shrink``/``--fixtures``):
+Modes (combinable with ``--diff``, ``--shrink`` and ``--fixtures``):
 
 * fixed-seed sweep (default): ``--seeds N`` runs seeds
   ``[--seed-start, --seed-start + N)`` through the differential
   harness; ``--jobs N`` fans the sweep across worker processes and
   results are content-cached under ``results/.cache`` (disable with
   ``--no-cache``), so an unchanged sweep is pure cache hits.
-* single seed: ``--seed S`` (prints the scenario op log when ``-v``).
+* single seed: ``--seed S``.
 * randomized smoke: ``--smoke SECONDS`` draws fresh seeds from the OS
   RNG until the wall-clock budget runs out, printing every seed as it
   goes so a failure in CI is reproducible by number.
 * replay: ``--replay FIXTURE.json`` re-runs a committed regression
-  fixture on both engines (or, for fixtures carrying a
-  ``policy_pair`` key, under both policy bundles).
-* policy diff: ``--policy-diff A,B`` sweeps the seeds under two policy
-  bundles instead of two engines; the oracle is lawfulness (each run's
-  own invariant suite), not equality — see
-  :mod:`repro.check.policy_diff`.
-* backend diff: ``--backend-diff A,B`` sweeps the seeds under two
-  engine backends (e.g. ``incremental,vector``) with the same exact
-  byte-equality oracle as the default engine pair; fixtures carry an
-  ``engine_pair`` key so ``--replay`` re-runs them under the same
-  backends.
+  fixture under the variants in its ``variants`` key (default: the
+  incremental/scan engine pair).
+
+``--diff A,B[,C...]`` picks the variants every mode compares (default
+``incremental,scan``): engines (``incremental``, ``scan``,
+``vector``), registered policy bundles (``default``, ``burstable``,
+``intent``, ...) or shard layouts (``jobs=N``), all of one kind, the
+first being the reference.  Engines and shard layouts must agree byte
+for byte; bundles need only each stay lawful — see
+:mod:`repro.check.differ`.  ``jobs=N`` variants run cluster scenarios
+that spawn their own shard workers, so they always sweep in-process,
+whatever ``--jobs`` says.
 
 Every mode ends with the same grep-able summary line
 (``check: seeds=N failures=M cache_hits=K``); exit status is 0 only if
@@ -34,23 +35,31 @@ written as a fixture next to the other regressions, ready to commit.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import re
 import time
 
-import json
-
-from repro.check.differ import run_differential
-from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
+from repro.check.differ import (DEFAULT_VARIANTS, default_oracle,
+                                run_differential, scenario_for,
+                                variant_kind)
 from repro.check.scenario import Scenario
 from repro.check.shrinker import shrink
-from repro.check.sweep import (BACKEND_TRIAL_FN, POLICY_TRIAL_FN, TRIAL_FN,
-                               seed_trial, summary_line)
+from repro.check.sweep import TRIAL_FN, seed_trial, summary_line
 from repro.par import ResultCache, TrialSpec, default_cache_dir, run_trials
 
 __all__ = ["main", "add_arguments"]
+
+
+def _variants(spec: str) -> tuple[str, ...]:
+    """``--diff`` value -> validated variant names (a usage error if bad)."""
+    variants = tuple(p.strip() for p in spec.split(","))
+    try:
+        variant_kind(variants)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return variants
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -65,21 +74,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "wall-clock budget is spent")
     parser.add_argument("--replay", type=str, default=None, metavar="FIXTURE",
                         help="re-run a regression fixture JSON file")
-    parser.add_argument("--policy-diff", type=str, default=None,
-                        metavar="A,B",
-                        help="sweep the seeds under two policy bundles "
-                             "(e.g. default,burstable) instead of two "
-                             "engines")
-    parser.add_argument("--backend-diff", type=str, default=None,
-                        metavar="A,B",
-                        help="sweep the seeds under two engine backends "
-                             "(e.g. incremental,vector) instead of the "
-                             "default incremental,scan pair")
-    parser.add_argument("--shard-diff", action="store_true",
-                        help="sweep randomized clusters at jobs=1 vs "
-                             "sharded layouts (byte-identity + invariant "
-                             "oracle); runs in-process since each trial "
-                             "spawns its own shard workers")
+    parser.add_argument("--diff", type=_variants, default=DEFAULT_VARIANTS,
+                        metavar="A,B[,...]",
+                        help="variants to compare, first = reference: "
+                             "engines (incremental,scan,vector), policy "
+                             "bundles (default,burstable,intent,...) or "
+                             "shard layouts (jobs=1,jobs=2,...); default "
+                             "incremental,scan")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the seed sweep "
                              "(default 1 = in-process)")
@@ -99,19 +100,25 @@ def _default_fixture_dir() -> str | None:
     return cand if os.path.isdir(cand) else None
 
 
-def _fail(scenario: Scenario, report, args, *,
-          oracle=None, policy_pair: tuple[str, str] | None = None,
-          engine_pair: tuple[str, str] | None = None) -> None:
-    """Report, shrink and fixture one failing scenario.
+def _fail(seed: int, variants: tuple[str, ...], args) -> None:
+    """Report, shrink and fixture one failing seed.
 
-    ``oracle`` maps a mutated scenario to its failure fingerprint
-    (default: the engine differential); ``policy_pair`` /
-    ``engine_pair`` are recorded in the fixture so ``--replay`` re-runs
-    it under the same bundles or backends.
+    World scenarios shrink to a fixture tagged with ``variants`` (the
+    tag is omitted for the default pair) so ``--replay`` re-runs it
+    under the same variants; cluster scenarios are reproduced by their
+    seed alone.
     """
-    if oracle is None:
-        oracle = lambda s: run_differential(s).fingerprint()  # noqa: E731
-    print(f"FAIL seed={scenario.seed} "
+    scenario = scenario_for(variants, seed)
+    report = run_differential(scenario, variants)
+    rerun = f"re-run with: python -m repro check --seed {seed}"
+    if variants != DEFAULT_VARIANTS:
+        rerun += f" --diff {','.join(variants)}"
+    if not isinstance(scenario, Scenario):
+        print(f"FAIL seed={seed} (cluster scenario)")
+        print(report.summary())
+        print(rerun)
+        return
+    print(f"FAIL seed={seed} "
           f"(ncpus={scenario.ncpus}, mem={scenario.memory >> 20}MiB, "
           f"horizon={scenario.horizon}s, ops={len(scenario)})")
     print(report.summary())
@@ -119,21 +126,20 @@ def _fail(scenario: Scenario, report, args, *,
     minimal = scenario
     if args.shrink:
         print(f"shrinking (fingerprint {fingerprint}) ...")
-        minimal = shrink(scenario, oracle)
+        minimal = shrink(
+            scenario,
+            lambda s: run_differential(s, variants).fingerprint())
         print(f"minimal repro: {len(minimal)} ops, "
               f"horizon {minimal.horizon}s")
     fixture = minimal.to_dict()
-    if policy_pair is not None:
-        fixture["policy_pair"] = list(policy_pair)
-    if engine_pair is not None:
-        fixture["engine_pair"] = list(engine_pair)
+    if variants != DEFAULT_VARIANTS:
+        fixture["variants"] = list(variants)
     fixture_json = json.dumps(fixture, indent=2, sort_keys=True)
     fixture_dir = args.fixtures or _default_fixture_dir()
     if fixture_dir:
         os.makedirs(fixture_dir, exist_ok=True)
         slug = re.sub(r"[^a-z0-9]+", "_", (fingerprint or "fail").lower())
-        path = os.path.join(fixture_dir,
-                            f"{slug}_seed{scenario.seed}.json")
+        path = os.path.join(fixture_dir, f"{slug}_seed{seed}.json")
         with open(path, "w") as fh:
             fh.write(fixture_json)
             fh.write("\n")
@@ -142,14 +148,11 @@ def _fail(scenario: Scenario, report, args, *,
     else:
         print("repro scenario JSON:")
         print(fixture_json)
-    if policy_pair is not None:
-        print(f"re-run with: python -m repro check --seed {scenario.seed} "
-              f"--policy-diff {policy_pair[0]},{policy_pair[1]}")
-    elif engine_pair is not None:
-        print(f"re-run with: python -m repro check --seed {scenario.seed} "
-              f"--backend-diff {engine_pair[0]},{engine_pair[1]}")
-    else:
-        print(f"re-run with: python -m repro check --seed {scenario.seed}")
+    print(rerun)
+
+
+#: Trial-value fields a verbose sweep prints, world and cluster alike.
+_STATS = ("ops", "steps", "oom", "groups", "epochs", "pods", "migrations")
 
 
 def _print_seed_result(value: dict, *, cached: bool, verbose: bool) -> None:
@@ -157,9 +160,8 @@ def _print_seed_result(value: dict, *, cached: bool, verbose: bool) -> None:
         return
     tag = " (cached)" if cached else ""
     if value.get("ok"):
-        print(f"ok   seed={value['seed']} ops={value['ops']} "
-              f"steps={value['steps']} oom={value['oom']} "
-              f"groups={value['groups']}{tag}")
+        stats = " ".join(f"{k}={value[k]}" for k in _STATS if k in value)
+        print(f"ok   seed={value['seed']} {stats}{tag}")
     else:
         print(f"fail seed={value['seed']} "
               f"fingerprint={value.get('fingerprint')}{tag}")
@@ -167,9 +169,12 @@ def _print_seed_result(value: dict, *, cached: bool, verbose: bool) -> None:
 
 def _sweep(seeds: list[int], args) -> int:
     """Fixed-seed sweep through the parallel runner + result cache."""
+    variants = args.diff
+    kind = variant_kind(variants)
     cache = None if args.no_cache else ResultCache(default_cache_dir())
     specs = [TrialSpec(fn=TRIAL_FN, experiment="check-sweep",
-                       trial_id=f"seed{s}", config={"seed": s})
+                       trial_id=f"seed{s}",
+                       config={"seed": s, "variants": list(variants)})
              for s in seeds]
 
     def on_result(_spec, res):
@@ -179,8 +184,10 @@ def _sweep(seeds: list[int], args) -> int:
         else:
             print(f"fail seed trial {res.trial_id}: {res.error}")
 
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
+    # A jobs=N trial spawns its own shard workers, which cannot nest
+    # inside the sweep pool's daemonic workers.
+    jobs = 1 if kind == "jobs" else args.jobs
+    results = run_trials(specs, jobs=jobs, cache=cache, on_result=on_result)
     failed = [(seed, res) for seed, res in zip(seeds, results)
               if not res.ok or not res.value.get("ok")]
     if failed:
@@ -188,147 +195,21 @@ def _sweep(seeds: list[int], args) -> int:
         # seed in this process (cheap next to the sweep itself).
         seed, res = failed[0]
         if res.ok:                       # differential failure, not a crash
-            scenario = generate(seed)
-            _fail(scenario, run_differential(scenario), args)
+            _fail(seed, variants, args)
         else:
             print(f"seed {seed} worker failure: {res.error}")
     hits = cache.hits if cache else 0
     print(summary_line(seeds=len(seeds), failures=len(failed),
                        cache_hits=hits))
+    names = ",".join(variants)
     if failed:
         print(f"check: FAILED (first failure above; "
-              f"{len(failed)}/{len(seeds)} seeds failed)")
+              f"{len(failed)}/{len(seeds)} seeds failed under {names})")
         return 1
-    print(f"check: {len(seeds)} scenarios ok on both engines, "
-          f"0 invariant violations, 0 divergences")
-    return 0
-
-
-def _policy_sweep(seeds: list[int], pair: tuple[str, str], args) -> int:
-    """Fixed-seed sweep under two policy bundles."""
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    specs = [TrialSpec(fn=POLICY_TRIAL_FN,
-                       experiment=f"check-policy-{pair[0]}-{pair[1]}",
-                       trial_id=f"seed{s}",
-                       config={"seed": s, "pair": list(pair)})
-             for s in seeds]
-
-    def on_result(_spec, res):
-        if res.ok:
-            if args.verbose:
-                tag = " (cached)" if res.cached else ""
-                v = res.value
-                status = "ok  " if v.get("ok") else "fail"
-                print(f"{status} seed={v['seed']} ops={v['ops']}{tag}")
-        else:
-            print(f"fail policy trial {res.trial_id}: {res.error}")
-
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
-    failed = [(seed, res) for seed, res in zip(seeds, results)
-              if not res.ok or not res.value.get("ok")]
-    if failed:
-        seed, res = failed[0]
-        if res.ok:                 # lawfulness failure, not a worker crash
-            scenario = generate(seed)
-            report = run_policy_differential(scenario, pair)
-            _fail(scenario, report, args,
-                  oracle=lambda s: run_policy_differential(
-                      s, pair).fingerprint(),
-                  policy_pair=pair)
-        else:
-            print(f"seed {seed} worker failure: {res.error}")
-    hits = cache.hits if cache else 0
-    print(summary_line(seeds=len(seeds), failures=len(failed),
-                       cache_hits=hits))
-    if failed:
-        print(f"check: FAILED (first failure above; "
-              f"{len(failed)}/{len(seeds)} seeds failed under "
-              f"{pair[0]},{pair[1]})")
-        return 1
-    print(f"check: {len(seeds)} scenarios lawful under both "
-          f"{pair[0]!r} and {pair[1]!r} policies, 0 invariant violations")
-    return 0
-
-
-def _backend_sweep(seeds: list[int], pair: tuple[str, str], args) -> int:
-    """Fixed-seed sweep under two engine backends (exact equality)."""
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    specs = [TrialSpec(fn=BACKEND_TRIAL_FN,
-                       experiment=f"check-backend-{pair[0]}-{pair[1]}",
-                       trial_id=f"seed{s}",
-                       config={"seed": s, "pair": list(pair)})
-             for s in seeds]
-
-    def on_result(_spec, res):
-        if res.ok:
-            _print_seed_result(res.value, cached=res.cached,
-                               verbose=args.verbose)
-        else:
-            print(f"fail backend trial {res.trial_id}: {res.error}")
-
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
-    failed = [(seed, res) for seed, res in zip(seeds, results)
-              if not res.ok or not res.value.get("ok")]
-    if failed:
-        seed, res = failed[0]
-        if res.ok:                       # divergence, not a worker crash
-            scenario = generate(seed)
-            report = run_differential(scenario, engines=pair)
-            _fail(scenario, report, args,
-                  oracle=lambda s: run_differential(
-                      s, engines=pair).fingerprint(),
-                  engine_pair=pair)
-        else:
-            print(f"seed {seed} worker failure: {res.error}")
-    hits = cache.hits if cache else 0
-    print(summary_line(seeds=len(seeds), failures=len(failed),
-                       cache_hits=hits))
-    if failed:
-        print(f"check: FAILED (first failure above; "
-              f"{len(failed)}/{len(seeds)} seeds failed under "
-              f"{pair[0]},{pair[1]})")
-        return 1
-    print(f"check: {len(seeds)} scenarios identical under "
-          f"{pair[0]!r} and {pair[1]!r} backends, 0 invariant violations, "
-          f"0 divergences")
-    return 0
-
-
-def _shard_sweep(seeds: list[int], args) -> int:
-    """Fixed-seed cluster sweep at jobs=1 vs sharded layouts.
-
-    Runs in-process: every trial spawns its own persistent shard
-    workers, so fanning the sweep itself out would nest process pools
-    inside daemonic workers.  Scenarios are small; the sweep is cheap.
-    """
-    from repro.check.shard_diff import run_shard_differential
-    failures = 0
-    first = None
-    for seed in seeds:
-        report = run_shard_differential(seed)
-        if report.ok:
-            if args.verbose:
-                print(f"ok   seed={report.seed} epochs={report.epochs} "
-                      f"pods={report.pods} "
-                      f"migrations={report.migrations}")
-        else:
-            failures += 1
-            first = first or report
-            print(f"fail seed={report.seed} "
-                  f"fingerprint={report.fingerprint()}")
-    if first is not None:
-        print(first.summary())
-        print(f"re-run with: python -m repro check --shard-diff "
-              f"--seed {first.seed}")
-    print(summary_line(seeds=len(seeds), failures=failures, cache_hits=0))
-    if failures:
-        print(f"check: FAILED ({failures}/{len(seeds)} seeds diverged "
-              f"across shard layouts)")
-        return 1
-    print(f"check: {len(seeds)} cluster scenarios byte-identical across "
-          f"shard layouts, 0 invariant violations, 0 divergences")
+    oracle = default_oracle(kind)
+    tail = ", 0 divergences" if oracle == "identical" else ""
+    print(f"check: {len(seeds)} scenarios {oracle} under {names}, "
+          f"0 invariant violations{tail}")
     return 0
 
 
@@ -339,12 +220,11 @@ def _smoke(args) -> int:
     while time.monotonic() < deadline:
         seed = sysrand.randrange(1 << 32)
         print(f"smoke seed={seed}", flush=True)
-        value = seed_trial({"seed": seed}, 0)
+        value = seed_trial({"seed": seed, "variants": list(args.diff)}, 0)
         n += 1
         if not value["ok"]:
             failures += 1
-            scenario = generate(seed)
-            _fail(scenario, run_differential(scenario), args)
+            _fail(seed, args.diff, args)
             break              # keep the first failure's fixture intact
         _print_seed_result(value, cached=False, verbose=args.verbose)
     print(summary_line(seeds=n, failures=failures, cache_hits=0))
@@ -355,31 +235,22 @@ def _replay(args) -> int:
     with open(args.replay) as fh:
         data = json.loads(fh.read())
     scenario = Scenario.from_dict(data)
-    pair = data.get("policy_pair")
-    engine_pair = data.get("engine_pair")
-    if pair is not None:
-        report = run_policy_differential(scenario, tuple(pair))
-        what = f"policies {pair[0]},{pair[1]}"
-    elif engine_pair is not None:
-        report = run_differential(scenario, engines=tuple(engine_pair))
-        what = f"backends {engine_pair[0]},{engine_pair[1]}"
-    else:
-        report = run_differential(scenario)
-        what = "both engines"
-    print(f"replay {args.replay} ({what}): {'ok' if report.ok else 'FAIL'}")
+    variants = tuple(data.get("variants", DEFAULT_VARIANTS))
+    try:
+        kind = variant_kind(variants)
+    except ValueError as exc:
+        raise SystemExit(f"{args.replay}: variants: {exc}") from None
+    if kind == "jobs":
+        raise SystemExit(f"{args.replay}: variants: jobs=N variants run "
+                         f"cluster scenarios, not fixtures")
+    report = run_differential(scenario, variants)
+    print(f"replay {args.replay} ({','.join(variants)}): "
+          f"{'ok' if report.ok else 'FAIL'}")
     if not report.ok:
         print(report.summary())
     print(summary_line(seeds=1, failures=0 if report.ok else 1,
                        cache_hits=0))
     return 0 if report.ok else 1
-
-
-def _parse_pair(spec: str) -> tuple[str, str]:
-    parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise SystemExit(
-            f"expected two comma-separated names, got {spec!r}")
-    return (parts[0], parts[1])
 
 
 def main(args: argparse.Namespace) -> int:
@@ -391,14 +262,4 @@ def main(args: argparse.Namespace) -> int:
         seeds = [args.seed]
     else:
         seeds = list(range(args.seed_start, args.seed_start + args.seeds))
-    if args.shard_diff:
-        return _shard_sweep(seeds, args)
-    if args.policy_diff is not None:
-        return _policy_sweep(seeds, _parse_pair(args.policy_diff), args)
-    if args.backend_diff is not None:
-        pair = _parse_pair(args.backend_diff)
-        for name in pair:
-            if name not in ("incremental", "scan", "vector"):
-                raise SystemExit(f"--backend-diff: unknown engine {name!r}")
-        return _backend_sweep(seeds, pair, args)
     return _sweep(seeds, args)

@@ -1,36 +1,121 @@
-"""Differential oracle: run one scenario on two engines, demand equality.
+"""Differential oracle: run one scenario under several variants, judge them.
 
-The engine modes (``incremental``, ``scan``, ``vector``) share their
-allocation arithmetic by construction, so every snapshot field — floats
-included — must compare *exactly* equal at every op boundary.
-Tolerances would only hide the first divergence until it compounds into
-a visible one.  The default pair is the classic incremental-vs-scan
-oracle; ``engines=`` fuzzes any other backend pair the same way (the
-``--backend-diff`` CLI mode pits the vector backend against either
-scalar engine).
+A *variant* is one name, of one of three kinds:
+
+* an engine — ``incremental``, ``scan`` or ``vector`` (default policies);
+* a registered policy bundle — ``default``, ``burstable``, ``intent``,
+  ... (incremental engine, see :mod:`repro.policy`);
+* a shard layout — ``jobs=N`` (the cluster scenario family of
+  :mod:`repro.check.shard_diff`).
+
+All variants of one diff share a kind; the first is the reference.
+Every variant's run is checked against its own invariant suite, and the
+*oracle* decides what else must hold:
+
+* ``identical`` — every other variant's log and snapshots must equal
+  the reference's *exactly*, floats included.  The engines and shard
+  layouts share their arithmetic by construction, so tolerances would
+  only hide the first divergence until it compounds into a visible one.
+* ``lawful`` — invariants only.  Distinct policies may lawfully
+  allocate differently, so equality is not the oracle for bundles.
+
+:func:`default_oracle` maps a kind to the oracle the CLI uses for it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from repro.check.invariants import Invariant
+from repro.check import shard_diff
+from repro.check.generator import generate
 from repro.check.runner import RunResult, run_scenario
 from repro.check.scenario import Scenario
+from repro.errors import PolicyError
+from repro.policy import resolve_bundle
 
-__all__ = ["DiffReport", "diff_snapshots", "run_differential"]
+__all__ = ["DiffReport", "diff_snapshots", "run_differential",
+           "DEFAULT_VARIANTS", "variant_kind", "default_oracle",
+           "scenario_for"]
 
-ENGINES = ("incremental", "scan")
+#: Engine variant names, in :class:`repro.world.World` terms.
+ENGINES = ("incremental", "scan", "vector")
+
+#: The classic engine pair; an absent ``variants`` key means this.
+DEFAULT_VARIANTS = ("incremental", "scan")
+
+ORACLES = ("identical", "lawful")
+
+_JOBS = re.compile(r"jobs=(\d+)")
+
+#: Snapshot mismatches reported per variant before giving up.
+_MAX_MISMATCHES = 20
+
+
+def variant_kind(variants) -> str:
+    """Validate ``variants``; return their shared kind.
+
+    Kinds are ``"engine"``, ``"bundle"`` and ``"jobs"``.  Raises
+    :class:`ValueError` on fewer than two variants, an unknown name, a
+    malformed or zero ``jobs=N``, or variants of mixed kinds.
+    """
+    if len(variants) < 2:
+        raise ValueError(f"need at least two variants, got {list(variants)}")
+    kinds = {_kind(name) for name in variants}
+    if len(kinds) > 1:
+        raise ValueError(f"variants {list(variants)} mix kinds "
+                         f"{sorted(kinds)}")
+    return kinds.pop()
+
+
+def _kind(name: str) -> str:
+    if name in ENGINES:
+        return "engine"
+    if name.startswith("jobs="):
+        m = _JOBS.fullmatch(name)
+        if m is None or int(m.group(1)) < 1:
+            raise ValueError(f"{name!r}: expected jobs=N with N >= 1")
+        return "jobs"
+    try:
+        resolve_bundle(name)
+    except PolicyError:
+        raise ValueError(
+            f"unknown variant {name!r}: expected an engine "
+            f"({', '.join(ENGINES)}), a policy bundle or jobs=N") from None
+    return "bundle"
+
+
+def default_oracle(kind: str) -> str:
+    """Engines and shard layouts must agree exactly; bundles lawfully."""
+    return "lawful" if kind == "bundle" else "identical"
+
+
+def scenario_for(variants, seed: int) -> "Scenario | dict":
+    """The seeded scenario ``variants`` run: a world script, or a cluster."""
+    if variant_kind(variants) == "jobs":
+        return shard_diff.scenario(seed)
+    return generate(seed)
+
+
+def _run_variant(scenario, name: str, kind: str) -> RunResult:
+    if kind == "engine":
+        return run_scenario(scenario, name)
+    if kind == "bundle":
+        sched, reclaim = resolve_bundle(name)
+        return run_scenario(scenario, "incremental", sched_policy=sched,
+                            reclaim_policy=reclaim)
+    return shard_diff.run_layout(scenario, int(name[len("jobs="):]))
 
 
 @dataclass
 class DiffReport:
     """Outcome of one differential run."""
 
+    #: Variant name -> its run, in variant order (reference first).
     results: dict[str, RunResult] = field(default_factory=dict)
-    #: "snapshot[i] path: a != b" strings; empty = engines agree.
+    #: "variant: snapshot[i] path: a != b" strings; empty = variants agree.
     divergences: list[str] = field(default_factory=list)
-    #: Invariant violations from either engine, prefixed with the engine.
+    #: Invariant violations from every run, prefixed with the variant.
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -42,17 +127,16 @@ class DiffReport:
 
         Coarse on purpose: the shrinker mutates the scenario, so op
         indexes and numeric details shift; what must stay fixed is the
-        *kind* of failure (which invariant, or a divergence and on what
-        top-level field).
+        *kind* of failure (which invariant under which variant, or a
+        divergence and on what field).
         """
         if self.violations:
-            # "engine: tag: name: detail" -> "invariant:engine:name"
-            first = self.violations[0]
-            parts = [p.strip() for p in first.split(":")]
+            # "variant: tag: name: detail" -> "invariant:variant:name"
+            parts = [p.strip() for p in self.violations[0].split(":")]
             return f"invariant:{parts[0]}:{parts[2] if len(parts) > 2 else '?'}"
         if self.divergences:
-            first = self.divergences[0]
-            field_path = first.split(" ", 1)[0]
+            # "variant: field.path a != b" -> "divergence:leaf"
+            field_path = self.divergences[0].split(": ", 1)[1].split(" ", 1)[0]
             leaf = field_path.split(".")[-1].split("[")[0]
             return f"divergence:{leaf}"
         return None
@@ -93,33 +177,50 @@ def diff_snapshots(a: dict | list | object, b: dict | list | object,
     return []
 
 
-def run_differential(scenario: Scenario, *,
-                     engines: tuple[str, str] = ENGINES,
-                     suite_factory=None,
-                     max_mismatches: int = 20) -> DiffReport:
-    """Run ``scenario`` on two engines and compare their digests."""
-    report = DiffReport()
-    for engine in engines:
-        suite: list[Invariant] | None = suite_factory() if suite_factory else None
-        res = run_scenario(scenario, engine, suite=suite)
-        report.results[engine] = res
-        report.violations.extend(f"{engine}: {v}" for v in res.violations)
-    a, b = (report.results[e] for e in engines)
-    if a.log != b.log:
-        for i, (la, lb) in enumerate(zip(a.log, b.log)):
+def _divergences(ref: RunResult, other: RunResult) -> list[str]:
+    """Where ``other`` first departs from ``ref``: log, then snapshots."""
+    out = []
+    if ref.log != other.log:
+        for i, (la, lb) in enumerate(zip(ref.log, other.log)):
             if la != lb:
-                report.divergences.append(f"log[{i}] {la!r} != {lb!r}")
+                out.append(f"log[{i}] {la!r} != {lb!r}")
                 break
         else:
-            report.divergences.append(
-                f"log length {len(a.log)} != {len(b.log)}")
-    for i, (sa, sb) in enumerate(zip(a.snapshots, b.snapshots)):
-        for d in diff_snapshots(sa, sb, f"snapshot[{i}]"):
-            report.divergences.append(d)
-            if len(report.divergences) >= max_mismatches:
-                return report
-        if report.divergences:
+            out.append(f"log length {len(ref.log)} != {len(other.log)}")
+    for i, (sa, sb) in enumerate(zip(ref.snapshots, other.snapshots)):
+        out.extend(diff_snapshots(sa, sb, f"snapshot[{i}]"))
+        if out:
             # Later snapshots inherit the first divergence; stop at the
             # earliest boundary so the report points at the cause.
             break
+    return out[:_MAX_MISMATCHES]
+
+
+def run_differential(scenario: "Scenario | dict",
+                     variants=DEFAULT_VARIANTS, *,
+                     oracle: str | None = None) -> DiffReport:
+    """Run ``scenario`` under every variant and judge the runs.
+
+    ``scenario`` is a :class:`Scenario` for engine and bundle variants
+    and a :func:`repro.check.shard_diff.scenario` dict for ``jobs=N``
+    (:func:`scenario_for` derives either from a seed).  ``oracle``
+    defaults to :func:`default_oracle` of the variants' kind.
+    """
+    variants = tuple(variants)
+    kind = variant_kind(variants)
+    oracle = oracle or default_oracle(kind)
+    if oracle not in ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}: expected one of "
+                         f"{ORACLES}")
+    report = DiffReport()
+    for name in dict.fromkeys(variants):      # a repeated variant runs once
+        res = _run_variant(scenario, name, kind)
+        report.results[name] = res
+        report.violations.extend(f"{name}: {v}" for v in res.violations)
+    if oracle == "identical":
+        ref = report.results[variants[0]]
+        for name in variants[1:]:
+            report.divergences.extend(
+                f"{name}: {d}"
+                for d in _divergences(ref, report.results[name]))
     return report

@@ -1,83 +1,48 @@
-"""Shard-layout differential fuzzing for the cluster control plane.
+"""Cluster scenarios for the ``jobs=N`` differential variants.
 
 The sharded execution backend (:mod:`repro.cluster.shard`) promises
 that ``Cluster(params, jobs=N)`` is *byte-identical* to ``jobs=1`` for
 every shard layout: same placement trace, same invariant snapshot,
-same rolling barrier-report digest.  This module is the fuzzer that
-earns the promise the same way the engine pair earned theirs — by
-running randomized scenarios under several layouts and diffing the
-results exactly.
+same rolling barrier-report digest.  This module supplies the two
+layout-specific pieces the differential engine
+(:func:`repro.check.run_differential`) needs to earn that promise the
+same way the engines earned theirs:
 
-Each seed derives one randomized cluster scenario — host count and
-shape, strategy, epoch length, hot threshold, bursty/gang pod mix,
-staggered submission waves, tracing and telemetry on or off — and runs
-it at ``jobs=1`` plus one or more sharded layouts.  The oracle is
-three-fold:
+* :func:`scenario` derives one randomized cluster scenario from a seed
+  — host count and shape, strategy, epoch length, hot threshold,
+  bursty/gang pod mix, staggered submission waves, tracing and
+  telemetry on or off;
+* :func:`run_layout` runs it at one layout and returns a
+  :class:`~repro.check.runner.RunResult`: the ``trace_digest()``,
+  ``epoch_sample_digest()`` and telemetry epoch count as its log, the
+  ``invariant_snapshot()`` at every epoch boundary as its snapshots,
+  and as its violations every epoch snapshot that fails
+  :func:`repro.check.check_cluster_snapshot` plus, when traced, every
+  migration span chain that fails
+  :func:`repro.check.span_tree.check_span_tree` (which exercises the
+  cross-process ``follows`` links).
 
-1. **equality** — ``trace_digest()``, ``epoch_sample_digest()`` and the
-   full ``invariant_snapshot()`` JSON must match the in-process run
-   byte for byte at every epoch boundary;
-2. **lawfulness** — every epoch snapshot must pass
-   :func:`repro.check.check_cluster_snapshot` (with the previous epoch
-   as the monotonicity baseline);
-3. **trace audit** — when the scenario runs traced, the sharded run's
-   migration span chains must pass
-   :func:`repro.check.span_tree.check_span_tree`, which exercises the
-   cross-process ``follows`` links.
-
-Wired into ``python -m repro check --shard-diff`` (see
-:mod:`repro.check.cli`) and CI's ``cluster-shard`` job.  Scenarios stay
-deliberately small: migrations and gang rejections are common, so a
-50-seed sweep covers cross-shard drains/readmits many times over.
+``python -m repro check --diff jobs=1,jobs=2,jobs=3`` sweeps it.
+Scenarios stay deliberately small: migrations and gang rejections are
+common, so a 50-seed sweep covers cross-shard drains/readmits many
+times over.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
 
 from repro.check.cluster_invariants import check_cluster_snapshot
+from repro.check.runner import RunResult
 from repro.par.seeds import derive_seed
 from repro.units import gib, mib
 
-__all__ = ["ShardDiffReport", "run_shard_differential"]
+__all__ = ["scenario", "run_layout"]
 
 _STRATEGIES = ("view", "static", "view-gang", "static-gang")
 
 
-@dataclass
-class ShardDiffReport:
-    """Outcome of one seed's layout differential."""
-
-    seed: int
-    layouts: tuple[int, ...]
-    epochs: int = 0
-    migrations: int = 0
-    pods: int = 0
-    divergences: list[str] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences and not self.violations
-
-    def fingerprint(self) -> str:
-        if self.ok:
-            return ""
-        first = (self.divergences or self.violations)[0]
-        return first.split(":", 1)[0]
-
-    def summary(self) -> str:
-        lines = [f"shard-diff seed={self.seed} layouts={self.layouts} "
-                 f"epochs={self.epochs} pods={self.pods} "
-                 f"migrations={self.migrations}"]
-        lines += [f"  divergence: {d}" for d in self.divergences[:10]]
-        lines += [f"  violation:  {v}" for v in self.violations[:10]]
-        return "\n".join(lines)
-
-
-def _scenario(seed: int) -> dict:
+def scenario(seed: int) -> dict:
     """Derive one randomized cluster scenario from a seed.
 
     Hosts are kept small and the hot threshold low so the rebalancer
@@ -129,12 +94,13 @@ def _scenario(seed: int) -> dict:
             rng.random() < 0.5, "waves": list(zip(waves, per_wave))}
 
 
-def _run(scenario: dict, jobs: int) -> dict:
-    """One scenario at one layout; returns digests + per-epoch snapshots."""
+def run_layout(scenario: dict, jobs: int) -> RunResult:
+    """Run one cluster scenario at one shard layout."""
     from repro.cluster import Cluster, ClusterParams, PodSpec
 
     params = ClusterParams(**scenario["params"])
     cluster = Cluster(params, jobs=jobs)
+    result = RunResult(engine=f"jobs={jobs}")
     try:
         collector = None
         if scenario["telemetry"]:
@@ -143,7 +109,7 @@ def _run(scenario: dict, jobs: int) -> dict:
             cluster.attach_telemetry(collector)
         waves = list(scenario["waves"])
         horizon = scenario["horizon"]
-        snaps: list[dict] = []
+        prev = None
         t = 0.0
         while t < horizon - 1e-9:
             while waves and waves[0][0] <= t + 1e-9:
@@ -152,65 +118,21 @@ def _run(scenario: dict, jobs: int) -> dict:
                     cluster.submit(PodSpec(**spec))
             t = min(t + params.epoch, horizon)
             cluster.run(until=t)
-            snaps.append(cluster.invariant_snapshot())
-        span_violations: list[str] = []
+            snap = cluster.invariant_snapshot()
+            result.violations.extend(
+                f"epoch[{len(result.snapshots)}]: {v}"
+                for v in check_cluster_snapshot(snap, prev))
+            result.snapshots.append(snap)
+            prev = snap
         if params.trace:
             from repro.check.span_tree import check_span_tree
-            span_violations = check_span_tree(cluster)
-        return {
-            "trace_digest": cluster.trace_digest(),
-            "sample_digest": cluster.epoch_sample_digest(),
-            "snaps": snaps,
-            "span_violations": span_violations,
-            "migrations": len(cluster.migration_records),
-            "pods": len(cluster.placed),
-            "telemetry_epochs": collector.epochs if collector else 0,
-        }
+            result.violations.extend(
+                f"final: {v}" for v in check_span_tree(cluster))
+        result.log = [
+            f"trace_digest:{cluster.trace_digest()}",
+            f"sample_digest:{cluster.epoch_sample_digest()}",
+            f"telemetry_epochs:{collector.epochs if collector else 0}",
+        ]
+        return result
     finally:
         cluster.close()
-
-
-def run_shard_differential(seed: int,
-                           layouts: tuple[int, ...] = (2, 3)
-                           ) -> ShardDiffReport:
-    """Run one seed at ``jobs=1`` and every sharded layout; diff exactly."""
-    scenario = _scenario(seed)
-    report = ShardDiffReport(seed=seed, layouts=layouts)
-    base = _run(scenario, 1)
-    report.epochs = len(base["snaps"])
-    report.migrations = base["migrations"]
-    report.pods = base["pods"]
-
-    # Lawfulness of the in-process run (the reference semantics).
-    prev = None
-    for i, snap in enumerate(base["snaps"]):
-        for v in check_cluster_snapshot(snap, prev):
-            report.violations.append(f"{v} [jobs=1 epoch {i}]")
-        prev = snap
-    report.violations.extend(
-        f"{v} [jobs=1]" for v in base["span_violations"])
-
-    base_json = [json.dumps(s, sort_keys=True) for s in base["snaps"]]
-    for jobs in layouts:
-        other = _run(scenario, jobs)
-        tag = f"jobs={jobs}"
-        if other["trace_digest"] != base["trace_digest"]:
-            report.divergences.append(
-                f"trace_digest: {tag} {other['trace_digest'][:16]} != "
-                f"jobs=1 {base['trace_digest'][:16]}")
-        if other["sample_digest"] != base["sample_digest"]:
-            report.divergences.append(
-                f"sample_digest: {tag} diverged from jobs=1")
-        if other["telemetry_epochs"] != base["telemetry_epochs"]:
-            report.divergences.append(
-                f"telemetry: {tag} saw {other['telemetry_epochs']} epochs, "
-                f"jobs=1 saw {base['telemetry_epochs']}")
-        for i, snap in enumerate(other["snaps"]):
-            if json.dumps(snap, sort_keys=True) != base_json[i]:
-                report.divergences.append(
-                    f"invariant_snapshot: {tag} epoch {i} is not "
-                    f"byte-identical to jobs=1")
-                break
-        report.violations.extend(
-            f"{v} [{tag}]" for v in other["span_violations"])
-    return report

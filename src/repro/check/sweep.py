@@ -1,7 +1,7 @@
 """Seed-sweep trials for the differential fuzzer, runnable via repro.par.
 
-One trial = one seed: generate the scenario, run it on both engines,
-compare.  The trial value is a plain dict so sweeps can fan out across
+One trial = one seed: derive the scenario, run it under every variant,
+judge.  The trial value is a plain dict so sweeps can fan out across
 worker processes and be content-cached — a 200-seed CI sweep after a
 docs-only commit is 200 cache hits.
 
@@ -12,90 +12,40 @@ write a fixture, which needs live objects the pool cannot ship back.
 
 from __future__ import annotations
 
-from repro.check.differ import run_differential
-from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
+from repro.check.differ import DEFAULT_VARIANTS, run_differential, scenario_for
+from repro.check.scenario import Scenario
 
-__all__ = ["TRIAL_FN", "POLICY_TRIAL_FN", "BACKEND_TRIAL_FN", "seed_trial",
-           "policy_trial", "backend_trial", "summary_line"]
+__all__ = ["TRIAL_FN", "seed_trial", "summary_line"]
 
 #: Dotted path handed to TrialSpec.fn.
 TRIAL_FN = "repro.check.sweep:seed_trial"
-
-#: Dotted path for policy-diff sweeps.
-POLICY_TRIAL_FN = "repro.check.sweep:policy_trial"
-
-#: Dotted path for engine-backend-diff sweeps.
-BACKEND_TRIAL_FN = "repro.check.sweep:backend_trial"
 
 
 def seed_trial(config: dict, spawn_seed: int) -> dict:
     """Run one generated seed through the differential harness.
 
     ``config["seed"]`` is the scenario seed (the sweep's unit of
-    identity); the spawn key is unused here because the generator is
-    already a pure function of the seed.
+    identity) and ``config["variants"]`` the variant names, defaulting
+    to the incremental/scan engine pair; the oracle follows from their
+    kind (:func:`repro.check.differ.default_oracle`).  The spawn key is
+    unused because the scenario is already a pure function of the seed.
     """
     seed = int(config["seed"])
-    scenario = generate(seed)
-    report = run_differential(scenario)
-    value = {"seed": seed, "ok": report.ok, "ops": len(scenario),
-             "ncpus": scenario.ncpus, "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        final = report.results["incremental"].snapshots[-1]
-        value.update(steps=final["steps"], oom=final["mm"]["oom_kills"],
-                     groups=len(final["groups"]))
+    variants = tuple(config.get("variants", DEFAULT_VARIANTS))
+    scenario = scenario_for(variants, seed)
+    report = run_differential(scenario, variants)
+    snaps = report.results[variants[0]].snapshots
+    value = {"seed": seed, "ok": report.ok}
+    if isinstance(scenario, Scenario):
+        value.update(ops=len(scenario), ncpus=scenario.ncpus,
+                     memory_mib=scenario.memory >> 20,
+                     horizon=scenario.horizon, steps=snaps[-1]["steps"],
+                     oom=snaps[-1]["mm"]["oom_kills"],
+                     groups=len(snaps[-1]["groups"]))
     else:
-        value.update(fingerprint=report.fingerprint(),
-                     summary=report.summary())
-    return value
-
-
-def policy_trial(config: dict, spawn_seed: int) -> dict:
-    """Run one generated seed under two policy bundles.
-
-    ``config`` carries ``seed`` plus the bundle ``pair``; the oracle is
-    lawfulness (every run must satisfy its own invariant suite), not
-    equality — see :mod:`repro.check.policy_diff`.
-    """
-    seed = int(config["seed"])
-    pair = tuple(config["pair"])
-    scenario = generate(seed)
-    report = run_policy_differential(scenario, pair)
-    value = {"seed": seed, "pair": list(pair), "ok": report.ok,
-             "ops": len(scenario), "ncpus": scenario.ncpus,
-             "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        value.update(drift=report.divergence_summary())
-    else:
-        value.update(fingerprint=report.fingerprint(),
-                     summary=report.summary())
-    return value
-
-
-def backend_trial(config: dict, spawn_seed: int) -> dict:
-    """Run one generated seed under two engine backends.
-
-    Same exact-equality oracle as :func:`seed_trial`, but the engine
-    pair comes from ``config["pair"]`` instead of the fixed
-    incremental/scan duo — this is how the vector solve backend is
-    fuzzed against the scalar engines.
-    """
-    seed = int(config["seed"])
-    pair = tuple(config["pair"])
-    scenario = generate(seed)
-    report = run_differential(scenario, engines=pair)
-    value = {"seed": seed, "pair": list(pair), "ok": report.ok,
-             "ops": len(scenario), "ncpus": scenario.ncpus,
-             "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        final = report.results[pair[0]].snapshots[-1]
-        value.update(steps=final["steps"], oom=final["mm"]["oom_kills"],
-                     groups=len(final["groups"]))
-    else:
+        value.update(epochs=len(snaps), pods=snaps[-1]["placed"],
+                     migrations=snaps[-1]["migrations"]["count"])
+    if not report.ok:
         value.update(fingerprint=report.fingerprint(),
                      summary=report.summary())
     return value

@@ -47,6 +47,11 @@ class Footprint:
     mem_live: int
 
 
+_NUMERIC_FIELDS = ("cpu_request", "mem_request", "cpu_demand", "mem_demand",
+                   "burst_demand", "burst_at")
+_OPTIONAL_FIELDS = ("burst_demand", "burst_at")
+
+
 @dataclass(frozen=True)
 class PodSpec:
     """One schedulable unit of cluster work.
@@ -82,6 +87,30 @@ class PodSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ClusterError("pod name cannot be empty")
+        # One expression, no per-field loop: specs are built by the
+        # thousand per submission.  isfinite raises on non-numbers.
+        isfinite = math.isfinite
+        try:
+            finite = (isfinite(self.cpu_request) and isfinite(self.mem_request)
+                      and isfinite(self.cpu_demand)
+                      and isfinite(self.mem_demand)
+                      and (self.burst_demand is None
+                           or isfinite(self.burst_demand))
+                      and (self.burst_at is None or isfinite(self.burst_at)))
+        except TypeError:
+            finite = False
+        if not finite:                      # name the first culprit
+            for field in _NUMERIC_FIELDS:
+                value = getattr(self, field)
+                if value is None and field in _OPTIONAL_FIELDS:
+                    continue
+                try:
+                    if isfinite(value):
+                        continue
+                except TypeError:
+                    pass
+                raise ClusterError(f"pod {self.name!r}: {field} must be a "
+                                   f"finite number, got {value!r}")
         if self.cpu_demand < 0.02:
             raise ClusterError(
                 f"pod {self.name!r}: cpu_demand must be >= 0.02 cores "

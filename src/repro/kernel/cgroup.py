@@ -165,6 +165,10 @@ class Cgroup:
         self.name = name
         self.parent = parent
         self.root = root
+        #: Hierarchy path ("/" for the root); names never change, so
+        #: it is fixed at creation.
+        self.path = ("/" if parent is None
+                     else f"{parent.path.rstrip('/')}/{name}")
         #: Creation sequence number; the canonical deterministic ordering
         #: of groups (snapshot order, completion-firing order).
         self.seq = root._next_seq()
@@ -218,13 +222,6 @@ class Cgroup:
             self.pressure.bind_clock(root._clock)
 
     # -- hierarchy ---------------------------------------------------------
-
-    @property
-    def path(self) -> str:
-        if self.parent is None:
-            return "/"
-        prefix = self.parent.path
-        return prefix + self.name if prefix.endswith("/") else f"{prefix}/{self.name}"
 
     def create_child(self, name: str) -> "Cgroup":
         if self.destroyed:

@@ -17,10 +17,10 @@ Built-in policies::
     World(reclaim_policy="intent")    # scratch/cache/heap-aware reclaim
 
 Bundles name a (sched, reclaim) pair for tools that sweep whole
-configurations (the policy-diff fuzzer, ``exp_policy``,
+configurations (the differential fuzzer, ``exp_policy``,
 ``bench_policy``)::
 
-    python -m repro check --policy-diff default,burstable --seeds 50
+    python -m repro check --diff default,burstable --seeds 50
 
 Third-party policies register under a name and are then constructible
 everywhere a built-in is::

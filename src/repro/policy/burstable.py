@@ -21,8 +21,9 @@ and lets quotas re-assert only under pressure:
 
 Because the contended branch reproduces the default arithmetic, a
 fleet under ``burstable`` diverges from ``default`` only while slack
-exists — which is precisely the claim the policy-diff fuzzer and the
-``exp_policy`` experiment quantify.
+exists — which is precisely the claim the bundle differential
+(``repro check --diff default,burstable``) holds lawful and the
+``exp_policy`` experiment quantifies.
 """
 
 from __future__ import annotations

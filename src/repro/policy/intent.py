@@ -19,7 +19,7 @@ Plans take the same *total* bytes as the default policy (background
 reclaim is still bounded by soft-limit overage, direct reclaim by
 residency) so watermark recovery is unchanged; only the victim
 ordering differs — greedy by ``(rank, creation seq)`` instead of
-proportional spreading.  That makes the policy-diff against
+proportional spreading.  That makes a bundle differential against
 ``default`` interpretable: swapped-byte totals match, their placement
 does not.
 """

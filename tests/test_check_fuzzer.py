@@ -1,4 +1,4 @@
-"""Tests for repro.check: generator, runner, differ, shrinker, CLI.
+"""Tests for repro.check: generator, runner, differ, variants, shrinker, CLI.
 
 The meta-test strategy: the fuzzer must (a) be deterministic, (b) pass
 on the healthy simulator, and (c) actually *catch and shrink* planted
@@ -8,12 +8,15 @@ cannot fire, so we re-introduce two representative bug classes
 invariant suite) and assert the harness pins them to small repros.
 """
 
+import argparse
 import json
 
 import pytest
 
 from repro.check import (Scenario, default_suite, diff_snapshots, generate,
                          run_differential, run_scenario, shrink)
+from repro.check import shard_diff
+from repro.check.differ import variant_kind
 from repro.check.generator import generate as generate2
 from repro.kernel.mm.memcg import MemoryManager
 from repro.kernel.sched.fair import FairScheduler
@@ -139,6 +142,116 @@ class TestDiffer:
         report = run_differential(generate(0))
         assert report.divergences
         assert report.fingerprint() == "divergence:throttled_time"
+
+
+class TestVariants:
+    def test_kinds(self):
+        assert variant_kind(("incremental", "scan", "vector")) == "engine"
+        assert variant_kind(("default", "burstable", "intent")) == "bundle"
+        assert variant_kind(("jobs=1", "jobs=2")) == "jobs"
+
+    @pytest.mark.parametrize("variants", [
+        ("scan",), ("default", "bogus"), ("incremental", "default"),
+        ("jobs=1", "scan"), ("jobs=0", "jobs=1"), ("jobs=x", "jobs=1"),
+    ])
+    def test_invalid_variants_rejected(self, variants):
+        with pytest.raises(ValueError):
+            variant_kind(variants)
+        with pytest.raises(ValueError):
+            run_differential(generate(0), variants)
+
+    def test_unknown_oracle_rejected(self):
+        with pytest.raises(ValueError, match="oracle"):
+            run_differential(generate(0), oracle="close-enough")
+
+    def test_three_engines_name_the_diverging_variant(self, monkeypatch):
+        orig = FairScheduler.advance
+
+        def drifting(self, dt):
+            orig(self, dt)
+            if self._incremental:          # vector is incremental too
+                for cg in self.cgroups.walk():
+                    cg.throttled_time += 1e-9 * dt
+        monkeypatch.setattr(FairScheduler, "advance", drifting)
+        report = run_differential(generate(0),
+                                  ("incremental", "vector", "scan"))
+        assert report.divergences
+        assert all(d.startswith("scan: ") for d in report.divergences)
+        assert report.fingerprint() == "divergence:throttled_time"
+        # The lawful oracle ignores the drift: it breaks no invariant.
+        assert run_differential(generate(0), ("scan", "incremental"),
+                                oracle="lawful").ok
+
+    def test_shard_layouts_identical(self):
+        for seed in range(3):
+            report = run_differential(shard_diff.scenario(seed),
+                                      ("jobs=1", "jobs=2"))
+            assert report.ok, f"seed {seed}:\n{report.summary()}"
+            ref, other = report.results.values()
+            assert ref.snapshots and ref.log == other.log
+
+    def test_shard_snapshot_divergence_caught(self, monkeypatch):
+        orig = shard_diff.run_layout
+
+        def skewed(scenario, jobs):
+            res = orig(scenario, jobs)
+            if jobs == 2:
+                res.snapshots[-1]["placed"] += 1
+            return res
+        monkeypatch.setattr(shard_diff, "run_layout", skewed)
+        report = run_differential(shard_diff.scenario(0),
+                                  ("jobs=1", "jobs=2"))
+        (only,) = report.divergences
+        assert only.startswith("jobs=2: snapshot[")
+        assert report.fingerprint() == "divergence:placed"
+
+
+class TestCheckCliDiff:
+    def _main(self, argv: list[str]) -> int:
+        from repro.check.cli import add_arguments, main
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        return main(parser.parse_args(argv))
+
+    def test_shard_diff_sweep(self, capsys):
+        assert self._main(["--diff", "jobs=1,jobs=2", "--seeds", "2",
+                           "--jobs", "2", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "check: seeds=2 failures=0 cache_hits=0" in out
+        assert "scenarios identical under jobs=1,jobs=2" in out
+
+    def test_failing_shard_seed_prints_rerun_hint(self, monkeypatch, capsys):
+        orig = shard_diff.run_layout
+
+        def skewed(scenario, jobs):
+            res = orig(scenario, jobs)
+            if jobs == 2:
+                res.log[0] += "x"
+            return res
+        monkeypatch.setattr(shard_diff, "run_layout", skewed)
+        assert self._main(["--diff", "jobs=1,jobs=2", "--seed", "0",
+                           "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "check: seeds=1 failures=1" in out
+        assert ("re-run with: python -m repro check --seed 0 "
+                "--diff jobs=1,jobs=2") in out
+
+    def test_variants_tagged_fixture_replays(self, tmp_path, capsys):
+        fixture = generate(4).to_dict()
+        fixture["variants"] = ["incremental", "vector"]
+        path = tmp_path / "fix.json"
+        path.write_text(json.dumps(fixture))
+        assert self._main(["--replay", str(path)]) == 0
+        assert "(incremental,vector): ok" in capsys.readouterr().out
+
+    def test_fixture_with_bad_variants_exits(self, tmp_path):
+        fixture = generate(4).to_dict()
+        for variants in (["jobs=1", "jobs=2"], ["incremental", "bogus"]):
+            fixture["variants"] = variants
+            path = tmp_path / "fix.json"
+            path.write_text(json.dumps(fixture))
+            with pytest.raises(SystemExit, match="variants"):
+                self._main(["--replay", str(path)])
 
 
 class TestShrinker:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.check import check_cluster
@@ -37,6 +40,30 @@ class TestPodSpec:
         with pytest.raises(ClusterError, match="together"):
             PodSpec(name="p", cpu_request=1.0, mem_request=mib(2),
                     cpu_demand=0.5, mem_demand=mib(1), burst_demand=2.0)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("cpu_request", {"cpu_request": math.nan}),   # ValueError at admission
+        ("cpu_request", {"cpu_request": math.inf}),   # OverflowError
+        ("cpu_demand", {"cpu_demand": math.nan}),     # accepted, never placed
+        ("burst_demand", {"burst_demand": math.nan, "burst_at": 1.0}),
+        ("burst_at", {"burst_demand": 2.0, "burst_at": math.nan}),
+        ("mem_request", {"mem_request": math.inf}),
+        ("cpu_request", {"cpu_request": "1.0"}),
+        ("mem_demand", {"mem_demand": None}),
+    ], ids=lambda v: v if isinstance(v, str) else repr(list(v.values())))
+    def test_non_finite_or_non_numeric_rejected(self, field, bad):
+        c = small_cluster(2)
+        c.submit(pod("ok"))
+        c.run(until=0.5)
+        before = json.dumps(c.invariant_snapshot(), sort_keys=True)
+        fields = {"name": "bad", "cpu_request": 1.0, "mem_request": mib(128),
+                  "cpu_demand": 0.5, "mem_demand": mib(64), **bad}
+        with pytest.raises(ClusterError, match=field):
+            c.submit(PodSpec(**fields))
+        assert json.dumps(c.invariant_snapshot(), sort_keys=True) == before
+        c.run(until=1.0)
+        assert sorted(c.placed) == ["ok"] and c.submitted == 1
+        assert check_cluster(c) == []
 
     def test_burst_demand_schedule(self):
         spec = pod("p", burst=(2.0, 5.0))

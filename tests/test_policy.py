@@ -4,8 +4,8 @@ Coverage, by layer: the registry (names, bundles, third-party
 registration), default-policy identity (the refactor must be invisible
 under the default bundle), the built-in burstable/intent behaviours,
 mid-simulation hot-swap (ledger conservation + self-swap invisibility),
-the policy-diff fuzzer (lawfulness oracle, expect-equal mode, planted
-divergent policies caught and shrunk to replayable fixtures), the
+bundle differentials (lawful and identical oracles, planted divergent
+policies caught and shrunk to replayable fixtures), the
 profiler's policy buckets, cluster wiring, the shared benchmark gate
 helpers, and the CLI.
 """
@@ -19,9 +19,8 @@ import sys
 import pytest
 
 from repro import ContainerSpec, World, gib, mib
-from repro.check import run_scenario
+from repro.check import run_differential, run_scenario
 from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
 from repro.check.shrinker import shrink
 from repro.errors import CgroupError, ClusterError, ContainerError, PolicyError
 from repro.policy import (POLICY_BUNDLES, RECLAIM_POLICIES, SCHED_POLICIES,
@@ -268,21 +267,16 @@ class TestHotSwap:
 class TestPolicyDiff:
     def test_distinct_bundles_lawful(self):
         for seed in range(4):
-            report = run_policy_differential(generate(seed),
-                                             ("default", "burstable"))
+            report = run_differential(generate(seed),
+                                      ("default", "burstable"),
+                                      oracle="lawful")
             assert report.ok, report.summary()
 
     def test_self_pair_expect_equal(self):
-        report = run_policy_differential(generate(3), ("default", "default"),
-                                         expect_equal=True)
+        report = run_differential(generate(3), ("default", "default"),
+                                  oracle="identical")
         assert report.ok
         assert report.fingerprint() is None
-
-    def test_divergence_summary_reports_both_bundles(self):
-        report = run_policy_differential(generate(7),
-                                         ("default", "intent"))
-        text = report.divergence_summary()
-        assert "default" in text and "intent" in text
 
     def test_expect_equal_catches_subtle_divergence(self, scratch_policy):
         class Almost(DefaultSchedPolicy):
@@ -296,8 +290,8 @@ class TestPolicyDiff:
                 return allocs
 
         scratch_policy("sched", "almost", Almost)
-        report = run_policy_differential(generate(2), ("default", "almost"),
-                                         expect_equal=True)
+        report = run_differential(generate(2), ("default", "almost"),
+                                  oracle="identical")
         assert not report.ok
         assert report.fingerprint() is not None
 
@@ -316,7 +310,8 @@ class TestPolicyDiff:
         pair = ("default", "leaky")
         failing = None
         for seed in range(20):
-            report = run_policy_differential(generate(seed), pair)
+            report = run_differential(generate(seed), pair,
+                                      oracle="lawful")
             if not report.ok:
                 failing = (generate(seed), report)
                 break
@@ -327,15 +322,16 @@ class TestPolicyDiff:
 
         minimal = shrink(
             scenario,
-            lambda s: run_policy_differential(s, pair).fingerprint())
+            lambda s: run_differential(s, pair,
+                                       oracle="lawful").fingerprint())
         assert len(minimal) <= len(scenario)
 
         # The fixture round-trips through JSON and still reproduces.
         fixture = minimal.to_dict()
-        fixture["policy_pair"] = list(pair)
+        fixture["variants"] = list(pair)
         from repro.check import Scenario
         again = Scenario.from_dict(json.loads(json.dumps(fixture)))
-        replay = run_policy_differential(again, pair)
+        replay = run_differential(again, pair, oracle="lawful")
         assert not replay.ok
         assert replay.fingerprint() == fingerprint
 
@@ -456,27 +452,55 @@ class TestCheckCli:
 
     def test_policy_sweep_green(self, capsys):
         from repro.check.cli import main
-        rc = main(self._args(["--policy-diff", "default,burstable",
+        rc = main(self._args(["--diff", "default,burstable",
                               "--seeds", "3", "--no-cache"]))
         out = capsys.readouterr().out
         assert rc == 0
-        assert "lawful under both 'default' and 'burstable'" in out
+        assert "check: seeds=3 failures=0" in out
+        assert "scenarios lawful under default,burstable" in out
 
-    def test_bad_pair_spec_exits(self):
-        from repro.check.cli import _parse_pair
-        with pytest.raises(SystemExit):
-            _parse_pair("just-one")
+    def test_bad_pair_spec_exits(self, capsys):
+        for spec in ("just-one", "default,bogus", "default,scan",
+                     "jobs=0,jobs=1", "jobs=x,jobs=1"):
+            with pytest.raises(SystemExit):
+                self._args(["--diff", spec])
+            assert "--diff" in capsys.readouterr().err
+
+    def test_failing_bundle_sweep_writes_variants_fixture(
+            self, scratch_policy, tmp_path, capsys):
+        from repro.check.cli import main
+
+        class Leaky(DefaultSchedPolicy):
+            name = "leaky"
+
+            def solve(self, members, capacity, params):
+                allocs = super().solve(members, capacity, params)
+                for g in allocs:
+                    g.rate *= 1.25           # over-allocates the domain
+                return allocs
+
+        scratch_policy("sched", "leaky", Leaky)
+        rc = main(self._args(["--diff", "default,leaky", "--seeds", "20",
+                              "--no-cache", "--fixtures", str(tmp_path)]))
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "--diff default,leaky" in out       # the re-run hint
+        (path,) = tmp_path.glob("*.json")
+        assert json.loads(path.read_text())["variants"] == ["default",
+                                                           "leaky"]
+        assert main(self._args(["--replay", str(path)])) == 1
+        assert "(default,leaky): FAIL" in capsys.readouterr().out
 
     def test_policy_fixture_replay(self, tmp_path, capsys):
         from repro.check.cli import main
         scn = generate(1)
         fixture = scn.to_dict()
-        fixture["policy_pair"] = ["default", "intent"]
+        fixture["variants"] = ["default", "intent"]
         path = tmp_path / "fix.json"
         path.write_text(json.dumps(fixture))
         rc = main(self._args(["--replay", str(path)]))
         assert rc == 0
-        assert "policies default,intent" in capsys.readouterr().out
+        assert "(default,intent): ok" in capsys.readouterr().out
 
 
 class TestExpPolicy:
