@@ -33,13 +33,11 @@ from repro.check.runner import RunResult, run_scenario
 from repro.check.scenario import Scenario
 from repro.errors import PolicyError
 from repro.policy import resolve_bundle
+from repro.world import ENGINES
 
 __all__ = ["DiffReport", "diff_snapshots", "run_differential",
            "DEFAULT_VARIANTS", "variant_kind", "default_oracle",
            "scenario_for"]
-
-#: Engine variant names, in :class:`repro.world.World` terms.
-ENGINES = ("incremental", "scan", "vector")
 
 #: The classic engine pair; an absent ``variants`` key means this.
 DEFAULT_VARIANTS = ("incremental", "scan")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.cluster.host import Host, HostLedger
@@ -41,6 +42,7 @@ from repro.cluster.pod import PodRecord, PodSpec
 from repro.cluster.shard import make_executor
 from repro.errors import ClusterError
 from repro.units import gib
+from repro.world import ENGINES
 
 __all__ = ["ClusterParams", "Cluster"]
 
@@ -76,8 +78,22 @@ class ClusterParams:
     reclaim_policy: str = "default"
 
     def __post_init__(self) -> None:
-        if self.n_hosts < 1:
-            raise ClusterError(f"n_hosts must be >= 1, got {self.n_hosts}")
+        _check_int("n_hosts", self.n_hosts, 1)
+        _check_int("host_ncpus", self.host_ncpus, 1)
+        _check_int("host_memory", self.host_memory, 1)
+        _check_int("max_migrations_per_epoch", self.max_migrations_per_epoch, 0)
+        _check_int("seed", self.seed, None)
+        _check_positive("epoch", self.epoch)
+        if self.view_update_period is not None:
+            _check_positive("view_update_period", self.view_update_period)
+        for name in ("hot_frac", "slo_frac"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 < value <= 1.0):
+                raise ClusterError(f"{name} must be in (0, 1], got {value!r}")
+        make_strategy(self.strategy)         # ClusterError if unknown
+        if self.engine not in ENGINES:
+            raise ClusterError(f"unknown engine {self.engine!r}: expected "
+                               f"one of {list(ENGINES)}")
         from repro.policy import RECLAIM_POLICIES, SCHED_POLICIES
         if self.sched_policy not in SCHED_POLICIES:
             raise ClusterError(
@@ -87,14 +103,23 @@ class ClusterParams:
             raise ClusterError(
                 f"unknown reclaim_policy {self.reclaim_policy!r}: expected "
                 f"one of {sorted(RECLAIM_POLICIES)}")
-        if self.epoch <= 0:
-            raise ClusterError(f"epoch must be positive, got {self.epoch}")
-        if not 0.0 < self.hot_frac <= 1.0:
-            raise ClusterError(
-                f"hot_frac must be in (0, 1], got {self.hot_frac}")
-        if not 0.0 < self.slo_frac <= 1.0:
-            raise ClusterError(
-                f"slo_frac must be in (0, 1], got {self.slo_frac}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, minimum: int | None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ClusterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
+        raise ClusterError(
+            f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass

@@ -42,6 +42,19 @@ traces; they differ only in asymptotic cost:
 Per-event cost is O(busy groups) for accrual (threads resolve their
 work lazily against per-group progress integrals maintained here) and
 O(affected domain) for re-solves, instead of O(threads) + O(groups²).
+Both per-event passes are kept lean because they run on every event:
+
+* accrual (:meth:`FairScheduler.advance`) is one pass over the snapshot
+  that collects each busy group's CPU/memory stall and hands them to
+  :func:`repro.obs.pressure.advance_stalls` in one batch, which
+  evaluates the three PSI window decays once per step; the snapshot
+  totals it reads (allocated cores, demand, runnable threads) are summed
+  once per :meth:`FairScheduler.reallocate`;
+* publication (``_publish_rows``) is one pass over a solved domain's
+  rows that detects an unchanged row by identity or field compares,
+  derives per-thread progress and occupancy straight from the row, and
+  re-indexes completions through ``_push_entry``, which reads the head
+  segment and prices it without per-thread method calls.
 """
 
 from __future__ import annotations
@@ -55,7 +68,8 @@ from typing import TYPE_CHECKING
 
 from repro.kernel.cgroup import Cgroup, CgroupRoot
 from repro.kernel.cpu import HostCpus
-from repro.obs.pressure import PSI_WINDOWS
+from repro.kernel.task import WORK_EPS, ThreadState
+from repro.obs.pressure import advance_stalls
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import SimThread
@@ -82,6 +96,9 @@ _PUSH_SKIP_TOL = _CAND_WINDOW / 4.0
 #: Bound on the domain-solve memo table; cleared wholesale when full
 #: (a plain dict beats an LRU at these hit rates).
 _SOLVE_CACHE_MAX = 8192
+
+_INF = math.inf
+_RUNNABLE = ThreadState.RUNNABLE
 
 
 @dataclass(frozen=True)
@@ -293,7 +310,12 @@ class FairScheduler:
         #: rebuilding when the busy *membership* changes.
         self._gpool: dict[Cgroup, GroupAlloc] = {}
         self._members_changed = True
+        #: Snapshot totals, summed in reallocate's pass over the snapshot
+        #: (rows change only during publication).  ``_allocated`` starts
+        #: as the int 0 that ``sum`` gives an empty snapshot.
         self._n_run_total = 0
+        self._allocated = 0
+        self._total_demand = 0.0
         #: While a partial re-solve publishes: the dirty set it was
         #: triggered by (None means treat every group as dirty).
         self._publish_dirty: set[Cgroup] | None = None
@@ -375,7 +397,18 @@ class FairScheduler:
             self._snapshot = sorted(self._galloc.values(),
                                     key=lambda g: g.cgroup.seq)
             self._members_changed = False
-        self._n_run_total = sum(g.n_threads for g in self._snapshot)
+        # One pass for the snapshot totals, in snapshot order (the same
+        # summation order as ``sum`` over the snapshot).
+        n_run = 0
+        allocated = 0
+        total_demand = 0.0
+        for g in self._snapshot:
+            n_run += g.n_threads
+            allocated += g.rate
+            total_demand += g.demand
+        self._n_run_total = n_run
+        self._allocated = allocated
+        self._total_demand = total_demand
         self._offline_pressure.clear()
         return self._snapshot
 
@@ -633,42 +666,54 @@ class FairScheduler:
             for cg in members))
 
     def _publish_rows(self, members: list[Cgroup], rows: tuple) -> None:
-        """Publish solved per-group fields through the GroupAlloc pool."""
+        """Publish solved per-group fields through the GroupAlloc pool.
+
+        Row layout: ``(n_threads, weight, cap, rate, efficiency, demand,
+        pressure, quota, soft_capped)``.  The per-thread rates pushed to
+        the cgroup are the :class:`GroupAlloc` property expressions,
+        evaluated from the row.
+        """
         galloc = self._galloc
         pool = self._gpool
         incremental = self._incremental
+        push_entry = self._push_entry
+        dirty = self._publish_dirty
         policy = self.policy
         clip_fn = policy.throttle_clip if policy.throttle_static else None
         for cg, row in zip(members, rows):
+            n = row[0]
+            rate = row[3]
+            # GroupAlloc.per_thread_progress * multiplier, from the row.
+            tr = (rate / n) * row[4] * cg.progress_multiplier if n else 0.0
             g = pool.get(cg)
+            old = None if g is None else g._row
             if g is None:
                 g = GroupAlloc(cg, 0, 0.0, 0.0)
                 pool[cg] = g
-            elif (g._row is not None and cg in galloc
-                    and g._row[:6] == row[:6] and g._row[7:] == row[7:]):
+            elif old is not None and cg in galloc and (old is row or (
+                    old[4] == row[4] and old[3] == rate and old[0] == n
+                    and old[5] == row[5] and old[8] == row[8]
+                    and old[7] == row[7] and old[2] == row[2]
+                    and old[1] == row[1])):
                 # Everything published from this group's slice of the
-                # solve is unchanged; at most the memoized domain
-                # pressure moved (the common uncontended-fleet case,
-                # where another group's thread count shifts the shared
-                # pressure but nobody's rates).  Publication can then be
-                # skipped — unless the memory slowdown moved the
-                # progress multiplier underneath the row.
-                if g._row[6] != row[6]:
-                    g.pressure = row[6]
+                # solve is unchanged (memo hits hand back the very same
+                # row; otherwise the fields are compared, the likeliest
+                # to move first); at most the memoized domain pressure
+                # moved (the common uncontended-fleet case, where another
+                # group's thread count shifts the shared pressure but
+                # nobody's rates).  Publication can then be skipped —
+                # unless the memory slowdown moved the progress
+                # multiplier underneath the row.
+                g.pressure = row[6]
                 g._row = row
-                n = row[0]
-                tr = ((row[3] / n) * row[4] * cg.progress_multiplier
-                      if n else 0.0)
                 if tr == cg._thread_rate:
-                    if incremental:
-                        # A clean group with a live heap entry keeps it:
-                        # the entry was computed from these same rates,
-                        # and completion-head changes re-push through
-                        # ``note_completion_change`` regardless.
-                        dirty = self._publish_dirty
-                        if (dirty is None or cg in dirty
-                                or cg._sched_entry_seq == -1):
-                            self._push_entry(cg)
+                    # A clean group with a live heap entry keeps it: the
+                    # entry was computed from these same rates, and
+                    # completion-head changes re-push through
+                    # ``note_completion_change`` regardless.
+                    if incremental and (dirty is None or cg in dirty
+                                        or cg._sched_entry_seq == -1):
+                        push_entry(cg)
                     continue
             g._row = row
             (g.n_threads, g.weight, g.cap, g.rate, g.efficiency,
@@ -678,11 +723,11 @@ class FairScheduler:
             if cg not in galloc:
                 self._members_changed = True
                 galloc[cg] = g
-            cg.cpu_rate = g.rate
-            cg._thread_rate = g.per_thread_progress * cg.progress_multiplier
-            cg._occ_rate = g.per_thread_occupancy
+            cg.cpu_rate = rate
+            cg._thread_rate = tr
+            cg._occ_rate = rate / n if n else 0.0   # per_thread_occupancy
             if incremental:
-                self._push_entry(cg)
+                push_entry(cg)
 
     def _vector_rows(self, members: list[Cgroup], capacity: float):
         """Array-backend domain solve (returns publication rows or None).
@@ -758,23 +803,43 @@ class FairScheduler:
             self._push_entry(cg)
 
     def _push_entry(self, cg: Cgroup) -> None:
-        """(Re)index a group's earliest completion in the group-level heap."""
-        head = cg._completion_head()
+        """(Re)index a group's earliest completion in the group-level heap.
+
+        Reads the head off the group's work heap (falling back to
+        ``Cgroup._completion_head`` to drop stale entries) and prices it
+        with the arithmetic of ``SimThread.time_to_completion``.
+        """
+        heap = cg._work_heap
+        if heap:
+            target, _tid, head = heap[0]
+            if head.state is not _RUNNABLE or head._target != target:
+                head = cg._completion_head()
+        else:
+            head = None
         if head is None:
             self._due_zero.discard(cg)
             cg._sched_entry_seq = -1
             return
-        ttc = head.time_to_completion()
-        if ttc == float("inf"):
+        target = head._target
+        rate = cg._thread_rate
+        remaining = target - cg.progress_acc
+        due = remaining <= WORK_EPS + 1e-15 * target
+        if rate <= 0.0:
+            ttc = _INF
+        elif due:
+            ttc = 0.0
+        else:
+            ttc = remaining / rate
+        if ttc == _INF:
             self._due_zero.discard(cg)
             cg._sched_entry_seq = -1
-            if head.segment_finished:
+            if due:
                 self._due_zero.add(cg)
             return
         est = self._time + ttc
         if (cg._sched_entry_seq != -1
-                and cg._sched_entry_rate == cg._thread_rate
-                and cg._sched_entry_target == head._target
+                and cg._sched_entry_rate == rate
+                and cg._sched_entry_target == target
                 and abs(est - cg._sched_entry_est) <= _PUSH_SKIP_TOL):
             # The live heap entry was computed from the same inputs and
             # fresh arithmetic agrees within a fraction of the candidate
@@ -784,8 +849,8 @@ class FairScheduler:
         self._due_zero.discard(cg)
         push_id = next(self._push_ids)
         cg._sched_entry_seq = push_id
-        cg._sched_entry_target = head._target
-        cg._sched_entry_rate = cg._thread_rate
+        cg._sched_entry_target = target
+        cg._sched_entry_rate = rate
         cg._sched_entry_est = est
         heap = self._cheap
         heapq.heappush(heap, (est, push_id, cg))
@@ -923,11 +988,12 @@ class FairScheduler:
                 - self.host.capacity * self._time)
 
     def total_allocated(self) -> float:
-        return sum(g.rate for g in self._snapshot)
+        # Summed at reallocate time, like ``n_runnable_total``.
+        return self._allocated
 
     def idle_capacity(self) -> float:
         """Instantaneous unallocated host capacity in cores."""
-        return max(0.0, self.host.capacity - self.total_allocated())
+        return max(0.0, self.host.capacity - self._allocated)
 
     def n_runnable_total(self) -> int:
         # Maintained at reallocate time: n_threads fields only change
@@ -942,24 +1008,24 @@ class FairScheduler:
 
         O(busy groups): per-group progress/occupancy integrals advance
         here; threads resolve their own accounting against them lazily.
-        Idle groups' PSI averages decay lazily on read (the accumulators
-        are clock-bound), so no hierarchy walk happens per event.
+        The step's PSI stalls are collected in this one pass and accrued
+        in one :func:`~repro.obs.pressure.advance_stalls` batch (one set
+        of window decays per step).  Idle groups' PSI averages decay
+        lazily on read (the accumulators are clock-bound), so no
+        hierarchy walk happens per event.
         """
         if dt <= 0.0:
             return
         self._time += dt
-        allocated = self.total_allocated()
+        allocated = self._allocated
         idle = max(0.0, self.host.capacity - allocated)
         self.total_idle_time += idle * dt
         self.window_idle += idle * dt
         eps = self.params.eps
-        total_demand = 0.0
         mem_some = 0.0
         mem_full = 1.0 if self._snapshot else 0.0
-        # Every accumulator accrued below shares this dt, so the PSI
-        # window decays are computed once and reused (same exp inputs,
-        # same recurrence — bit-identical to per-call evaluation).
-        decays = tuple(math.exp(-dt / w) for w in PSI_WINDOWS)
+        stalls: list = []
+        add_stall = stalls.append
         policy = self.policy
         throttle_static = policy.throttle_static
         throttle_accrue = policy.throttle_accrue
@@ -969,8 +1035,6 @@ class FairScheduler:
             used = rate * dt
             cg.total_cpu_time += used
             cg.window_usage += used
-            demand = g.demand
-            total_demand += demand
             # Throttle accounting is a policy decision (the default
             # policy clips demand at the quota; burstable only accrues
             # while a soft cap is asserted).  Row-static policies have
@@ -996,28 +1060,27 @@ class FairScheduler:
             if mem_frac < mem_full:
                 mem_full = mem_frac
             if cg.parent is not None:
+                demand = g.demand
                 unmet = demand - rate
                 some = unmet / demand if unmet > 0.0 and demand > 0 else 0.0
                 full = 1.0 if (g.n_threads > 0 and rate <= eps) else 0.0
                 pressure = cg.pressure
-                # Same zero-stall skip ``maybe_advance_shared`` applies,
-                # hoisted here to save the no-op method calls.
-                pcpu = pressure.cpu
-                if some != 0.0 or full != 0.0 or pcpu._clock is None:
-                    pcpu.maybe_advance_shared(dt, some, full, decays)
+                add_stall((pressure.cpu, some, full))
+                # Memory stall is rare: skip building entries the batch
+                # would skip anyway (zero stall on a clock-bound one).
                 pmem = pressure.memory
                 if mem_frac != 0.0 or pmem._clock is None:
-                    pmem.maybe_advance_shared(dt, mem_frac, mem_frac,
-                                              decays)
+                    add_stall((pmem, mem_frac, mem_frac))
         # The root cgroup carries host-wide pressure, mirroring how
         # /proc/pressure reads the root group in Linux.
+        total_demand = self._total_demand
         some = (max(0.0, total_demand - allocated) / total_demand
                 if total_demand > 0 else 0.0)
         full = 1.0 if (total_demand > 0 and allocated <= eps) else 0.0
-        root = self.cgroups.root
-        root.pressure.cpu.maybe_advance_shared(dt, some, full, decays)
-        root.pressure.memory.maybe_advance_shared(dt, mem_some, mem_full,
-                                                  decays)
+        root = self.cgroups.root.pressure
+        add_stall((root.cpu, some, full))
+        add_stall((root.memory, mem_some, mem_full))
+        advance_stalls(stalls, dt)
 
     def contention_pressure(self, cgroup: Cgroup) -> float:
         """The current contention-domain pressure around ``cgroup``.

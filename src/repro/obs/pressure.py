@@ -29,6 +29,14 @@ have produced (``exp`` folds: ``exp(-a/W) * exp(-b/W) == exp(-(a+b)/W)``
 up to one rounding, and the engine accrues idle stretches as single
 intervals in both engine modes).  Unbound accumulators keep the eager
 semantics.
+
+The scheduler accrues every busy cgroup (and the root) over the same
+interval on each step, so it goes through :func:`advance_stalls`, the
+batch form of :meth:`PressureStall.maybe_advance`: one call per step,
+the window decays evaluated once for the whole batch, and the same
+clamps, zero-stall skip, lazy gap decay and recurrence, bit for bit
+(``tests/test_pressure.py`` checks it against the per-accumulator
+methods).
 """
 
 from __future__ import annotations
@@ -37,7 +45,8 @@ import math
 
 from repro.errors import ReproError
 
-__all__ = ["PSI_WINDOWS", "PressureStall", "CgroupPressure"]
+__all__ = ["PSI_WINDOWS", "PressureStall", "CgroupPressure",
+           "advance_stalls"]
 
 #: The three PSI averaging windows, in seconds (avg10/avg60/avg300).
 PSI_WINDOWS = (10.0, 60.0, 300.0)
@@ -114,49 +123,6 @@ class PressureStall:
             return
         self.advance(dt, some_frac, full_frac)
 
-    def maybe_advance_shared(self, dt: float, some_frac: float,
-                             full_frac: float,
-                             decays: tuple[float, ...]) -> None:
-        """:meth:`maybe_advance` with the window decays precomputed.
-
-        Every accumulator accrued in one scheduler ``advance(dt)`` shares
-        the same ``dt``, so the caller computes ``exp(-dt/W)`` once per
-        window and passes it in; the recurrence below is the same
-        arithmetic as :meth:`advance`, operation for operation, only the
-        (deterministic) ``exp`` evaluations are shared.  Accumulators
-        that fell behind the clock still decay the untouched stretch via
-        :meth:`_sync` with their own exact exponents.
-        """
-        clock = self._clock
-        if clock is not None and some_frac == 0.0 and full_frac == 0.0:
-            return
-        if dt <= 0.0:
-            return
-        if clock is not None:
-            gap = clock.now - self._synced
-            if gap > 0.0:
-                self._synced = clock.now
-                for i, window in enumerate(PSI_WINDOWS):
-                    decay = math.exp(-gap / window)
-                    self._some_avg[i] *= decay
-                    self._full_avg[i] *= decay
-        # Branchy clamps: same values as min(1, max(0, x)), fewer calls.
-        some = some_frac if some_frac > 0.0 else 0.0
-        if some > 1.0:
-            some = 1.0
-        full = full_frac if full_frac > 0.0 else 0.0
-        if full > some:
-            full = some
-        self.some_total += some * dt
-        self.full_total += full * dt
-        some_avg = self._some_avg
-        full_avg = self._full_avg
-        for i, decay in enumerate(decays):
-            some_avg[i] = some_avg[i] * decay + some * (1.0 - decay)
-            full_avg[i] = full_avg[i] * decay + full * (1.0 - decay)
-        if clock is not None:
-            self._synced = clock.now + dt
-
     def avg(self, kind: str, window: float) -> float:
         """Windowed stall-time fraction in [0, 1] (not percent)."""
         if kind not in ("some", "full"):
@@ -221,3 +187,66 @@ class CgroupPressure:
                     entry[f"{kind}_avg{int(window)}"] = stall.avg(kind, window)
             out[resource] = entry
         return out
+
+
+def advance_stalls(entries, dt: float) -> None:
+    """Accrue ``dt`` seconds into every ``(stall, some_frac, full_frac)``.
+
+    The batch form of :meth:`PressureStall.maybe_advance`, bit for bit:
+    the same clamps, the same zero-stall skip for clock-bound
+    accumulators, the same lazy decay of the stretch since each
+    accumulator was last touched (with its own exact exponents), and
+    the same EMA recurrence.  Every entry shares ``dt``, so the window
+    decays ``exp(-dt/W)`` and their complements are evaluated once per
+    call instead of once per accumulator; the fluid scheduler hands
+    each accrual step's busy groups (and the root) over in one call.
+    """
+    if dt <= 0.0:
+        return
+    exp = math.exp
+    w0, w1, w2 = PSI_WINDOWS
+    d0 = exp(-dt / w0)
+    d1 = exp(-dt / w1)
+    d2 = exp(-dt / w2)
+    c0 = 1.0 - d0
+    c1 = 1.0 - d1
+    c2 = 1.0 - d2
+    for stall, some, full in entries:
+        clock = stall._clock
+        sa = stall._some_avg
+        fa = stall._full_avg
+        if clock is not None:
+            if some == 0.0 and full == 0.0:
+                continue                # lazy decay on read covers it
+            now = clock.now
+            gap = now - stall._synced
+            if gap > 0.0:
+                g = exp(-gap / w0)
+                sa[0] *= g
+                fa[0] *= g
+                g = exp(-gap / w1)
+                sa[1] *= g
+                fa[1] *= g
+                g = exp(-gap / w2)
+                sa[2] *= g
+                fa[2] *= g
+            # Accruing [now, now + dt] ahead of the clock tick.
+            stall._synced = now + dt
+        # Branchy clamps: same values as advance()'s min/max.
+        if some > 0.0:
+            if some > 1.0:
+                some = 1.0
+        else:
+            some = 0.0
+        if not full > 0.0:
+            full = 0.0
+        elif full > some:
+            full = some
+        stall.some_total += some * dt
+        stall.full_total += full * dt
+        sa[0] = sa[0] * d0 + some * c0
+        sa[1] = sa[1] * d1 + some * c1
+        sa[2] = sa[2] * d2 + some * c2
+        fa[0] = fa[0] * d0 + full * c0
+        fa[1] = fa[1] * d1 + full * c1
+        fa[2] = fa[2] * d2 + full * c2

@@ -86,11 +86,11 @@ class DefaultSchedPolicy(SchedPolicy):
                 cg.throttled_wall += dt
 
     def throttle_clip(self, g: GroupAlloc) -> float:
+        # No inf test needed: an unlimited quota leaves clipped at -inf.
         quota = g.quota
-        if quota != float("inf"):
-            clipped = g.demand - quota
-            if clipped > 0.0 and g.rate >= quota - 1e-9:
-                return clipped
+        clipped = g.demand - quota
+        if clipped > 0.0 and g.rate >= quota - 1e-9:
+            return clipped
         return 0.0
 
     def rate_cap(self, quota_cores: float, cpuset_size: float) -> float:

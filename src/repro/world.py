@@ -42,6 +42,9 @@ __all__ = ["World"]
 
 _TIME_EPS = 1e-9
 
+#: Engine names a :class:`World` accepts (see :mod:`repro.kernel.sched.fair`).
+ENGINES = ("incremental", "scan", "vector")
+
 
 class World:
     """A simulated host machine."""
@@ -56,7 +59,7 @@ class World:
                  trace: bool = False, seed: int = 0,
                  engine: str = "incremental",
                  sched_policy="default", reclaim_policy="default"):
-        if engine not in ("incremental", "scan", "vector"):
+        if engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {engine!r}: expected 'incremental', "
                 f"'scan', or 'vector'")

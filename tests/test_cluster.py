@@ -254,6 +254,36 @@ class TestClusterBasics:
         with pytest.raises(ClusterError):
             ClusterParams(hot_frac=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epoch", math.nan), ("epoch", math.inf), ("epoch", 0.0),
+        ("epoch", "1"),
+        ("view_update_period", math.nan), ("view_update_period", -1.0),
+        ("view_update_period", math.inf),
+        ("max_migrations_per_epoch", -1), ("max_migrations_per_epoch", 1.5),
+        ("host_ncpus", 2.5), ("host_ncpus", 0), ("host_ncpus", True),
+        ("n_hosts", 2.5), ("n_hosts", math.nan), ("n_hosts", "4"),
+        ("host_memory", math.nan), ("host_memory", 0),
+        ("host_memory", float(gib(1))),
+        ("seed", math.nan), ("seed", 1.0), ("seed", None),
+        ("hot_frac", math.nan), ("hot_frac", "0.5"),
+        ("slo_frac", math.nan), ("slo_frac", 0.0),
+        ("strategy", "best-fit"), ("engine", "turbo"),
+        ("sched_policy", "nope"), ("reclaim_policy", "nope"),
+    ])
+    def test_params_reject_every_bad_field(self, field, value):
+        # Every field is checked when the params are built, with the
+        # package's typed error and the field's name in the message.
+        with pytest.raises(ClusterError, match=field):
+            ClusterParams(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(view_update_period=None), dict(max_migrations_per_epoch=0),
+        dict(seed=-3), dict(epoch=1), dict(hot_frac=1),
+        dict(strategy="static-gang", engine="scan"),
+    ])
+    def test_params_accept_lawful_edges(self, kwargs):
+        ClusterParams(**kwargs)
+
 
 class TestHpaVerticalInterop:
     """HPA over the vertical autoscaler: membership bookkeeping."""

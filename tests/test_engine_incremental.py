@@ -12,6 +12,11 @@ the brute-force reference, not merely close:
 * **Paired stepping** — two worlds (one per engine) driven through the
   same randomized perturbation script must agree on every float they
   expose at every step.
+* **Serve shape** — many quota-capped groups on one shared mask, so the
+  domain pressure stays above 1 and every solve re-rates every member:
+  the publication and PSI accrual paths the golden trace barely
+  touches must still leave every engine with equal snapshots and
+  pressure files.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import pytest
 from repro.container.spec import ContainerSpec
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
+from repro.kernel.sched import vector
 from repro.kernel.sched.fair import FairScheduler
 from repro.kernel.task import SimThread
 from repro.units import mib
@@ -182,6 +188,70 @@ class TestPairedEngines:
                 assert ca.cgroup.progress_acc == cb.cgroup.progress_acc
                 assert (ca.cgroup.pressure.cpu.some_total
                         == cb.cgroup.pressure.cpu.some_total)
+
+
+def _serve_shape(engine: str, seed: int, n_groups: int = 32):
+    """One 8-CPU host, ``n_groups`` replicas of 3 workers at 0.2 cores.
+
+    Demand (3 threads) is far above every quota, so each group runs at
+    its quota, accrues throttle and CPU stall time on every step, and
+    the shared domain's pressure stays well above 1.  Workers finish
+    random segments and sometimes idle before the next one, so the
+    runnable counts (and with them the pressure and every member's
+    efficiency) keep moving.
+    """
+    world = World(ncpus=8, seed=seed, engine=engine)
+    rng = random.Random(seed)
+    pressures = []
+    containers = []
+    def worker(t):
+        def work():
+            t.assign_work(rng.uniform(0.0005, 0.004), done)
+
+        def done(_t):
+            if rng.random() < 0.3:
+                t.block()
+                world.events.call_after(rng.uniform(0.001, 0.01),
+                                        lambda: (t.wake(), work()))
+            else:
+                work()
+
+        work()
+
+    for i in range(n_groups):
+        c = world.containers.create(ContainerSpec(f"r{i:02d}", cpus=0.2))
+        containers.append(c)
+        for j in range(3):
+            worker(c.spawn_thread(f"w{j}"))
+
+    def sample():
+        pressures.append(world.sched.contention_pressure(
+            containers[0].cgroup))
+
+    world.events.call_every(0.05, sample, name="sample")
+    world.run(until=1.0)
+    files = [world.cgroupfs.read(f"/sys/fs/cgroup/cpu{c.cgroup.path}"
+                                 f"/cpu.pressure") for c in containers]
+    files.append(world.cgroupfs.read("/sys/fs/cgroup/cpu/cpu.pressure"))
+    return world.invariant_snapshot(), files, pressures
+
+
+class TestServeShapeEngines:
+    @pytest.mark.parametrize("seed", range(2))
+    def test_engines_agree_under_domain_pressure(self, seed):
+        engines = ["incremental", "scan"]
+        if vector.available():
+            engines.append("vector")
+        ref_snap, ref_files, pressures = _serve_shape("incremental", seed)
+        # The shape really is the contended one.
+        assert min(pressures) > 1.0
+        assert all(g["throttled_time"] > 0.0 and g["psi_cpu_some"] > 0.0
+                   for g in ref_snap["groups"]
+                   if g["path"].startswith("/docker/"))
+        for engine in engines[1:]:
+            snap, files, _ = _serve_shape(engine, seed)
+            assert snap == ref_snap, engine
+            assert files == ref_files, engine
 
 
 class TestRunUntilAccrual:

@@ -9,8 +9,11 @@ a clock-bound (lazy) accumulator reads identically to an eager one.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.obs.pressure import PSI_WINDOWS, CgroupPressure, PressureStall
+from repro.obs.pressure import (PSI_WINDOWS, CgroupPressure, PressureStall,
+                                advance_stalls)
 
 
 class FakeClock:
@@ -173,3 +176,62 @@ class TestCgroupPressure:
         cp.bind_clock(clock)
         assert cp.cpu._clock is clock and cp.memory._clock is clock
         assert cp.cpu._synced == 2.0
+
+
+# A stall fraction: lawful values, exact zeros (the skip), values the
+# clamps must cut (negative, above one, infinite, NaN).
+_frac = st.one_of(
+    st.just(0.0), st.just(1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-2.0, max_value=3.0),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+
+# One step of the program: accrue ``dt`` into three accumulators (two
+# clock-bound, one unbound) and move the clock by ``dt`` plus an idle
+# ``gap`` (0 = back-to-back steps, as the scheduler issues them).
+_step = st.tuples(
+    st.one_of(st.floats(min_value=1e-9, max_value=50.0),
+              st.sampled_from([0.0, -1.0, 1e-300, 0.1])),
+    st.tuples(_frac, _frac), st.tuples(_frac, _frac), st.tuples(_frac, _frac),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0),
+              st.floats(min_value=0.0, max_value=400.0)))
+
+
+def _state(p: PressureStall):
+    return (p.some_total, p.full_total, list(p._some_avg),
+            list(p._full_avg), p._synced)
+
+
+class TestBatchAccrual:
+    """``advance_stalls`` is ``maybe_advance`` per entry, bit for bit."""
+
+    @given(st.floats(min_value=0.0, max_value=100.0),
+           st.lists(_step, max_size=40))
+    def test_batch_matches_per_accumulator_advance(self, start, steps):
+        clock = FakeClock(start)
+        ref = [PressureStall(), PressureStall(), PressureStall()]
+        got = [PressureStall(), PressureStall(), PressureStall()]
+        for p in ref[:2] + got[:2]:
+            p.bind_clock(clock)
+        for dt, *fracs, gap in steps:
+            for p, (some, full) in zip(ref, fracs):
+                p.maybe_advance(dt, some, full)
+            advance_stalls([(p, some, full)
+                            for p, (some, full) in zip(got, fracs)], dt)
+            for a, b in zip(ref, got):
+                assert _state(a) == _state(b)
+            if dt > 0.0:
+                clock.now = clock.now + dt
+            clock.now = clock.now + gap
+        for a, b in zip(ref, got):
+            for kind in ("some", "full"):
+                for w in PSI_WINDOWS:
+                    assert a.avg(kind, w) == b.avg(kind, w)
+            assert a.format() == b.format()
+
+    def test_empty_batch_and_nonpositive_dt_are_noops(self):
+        p = PressureStall()
+        advance_stalls([], 1.0)
+        advance_stalls([(p, 1.0, 1.0)], 0.0)
+        advance_stalls([(p, 1.0, 1.0)], -1.0)
+        assert _state(p) == _state(PressureStall())
