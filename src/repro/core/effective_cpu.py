@@ -52,6 +52,10 @@ class CpuViewParams:
     dynamic: bool = True
 
 
+#: Shared default parameters (frozen, so one instance serves every caller).
+_DEFAULT_PARAMS = CpuViewParams()
+
+
 @dataclass(frozen=True)
 class CpuBounds:
     """The static [LOWER_CPU, UPPER_CPU] range of Algorithm 1."""
@@ -109,9 +113,9 @@ def compute_cpu_bounds(cg: Cgroup, all_shares: list[int], ncpus: int) -> CpuBoun
     return cpu_bounds(cg, sum(all_shares), ncpus)
 
 
-def step_effective_cpu(e_cpu: int, bounds: CpuBounds, *, usage: float,
+def step_effective_cpu(e_cpu: int, bounds: CpuBounds, usage: float,
                        capacity_window: float, slack: float,
-                       params: CpuViewParams | None = None) -> int:
+                       params: CpuViewParams = _DEFAULT_PARAMS) -> int:
     """One dynamic-adjustment step of Algorithm 1 (lines 8–17).
 
     Parameters
@@ -127,16 +131,26 @@ def step_effective_cpu(e_cpu: int, bounds: CpuBounds, *, usage: float,
     slack:
         Host idle capacity integrated over the window (core-seconds);
         positive means ``p_slack > 0``.
+
+    This runs once per view-timer firing, so it reads the bounds once
+    and clamps inline (the same ``max(lower, min(upper, e_cpu))`` as
+    :meth:`CpuBounds.clamp`).
     """
-    p = params or CpuViewParams()
-    e_cpu = bounds.clamp(e_cpu)
-    if not p.dynamic:
-        return bounds.lower
-    if slack > p.slack_eps:
-        utilization = usage / capacity_window if capacity_window > 0 else 0.0
-        if utilization > p.util_threshold and e_cpu < bounds.upper:
-            return e_cpu + 1
+    lower = bounds.lower
+    if not params.dynamic:
+        return lower
+    upper = bounds.upper
+    if e_cpu >= upper:
+        e_cpu = upper
+    if e_cpu <= lower:
+        e_cpu = lower
+    if slack > params.slack_eps:
+        if e_cpu < upper:
+            utilization = (usage / capacity_window if capacity_window > 0
+                           else 0.0)
+            if utilization > params.util_threshold:
+                return e_cpu + 1
         return e_cpu
-    if e_cpu > bounds.lower:
+    if e_cpu > lower:
         return e_cpu - 1
     return e_cpu

@@ -24,6 +24,7 @@ below the **low** watermark), effective memory resets to the soft limit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["MemViewParams", "MemorySample", "step_effective_memory"]
 
@@ -44,9 +45,16 @@ class MemViewParams:
     dynamic: bool = True
 
 
-@dataclass(frozen=True)
-class MemorySample:
-    """Inputs observed at an update boundary (all bytes)."""
+#: Shared default parameters (frozen, so one instance serves every caller).
+_DEFAULT_PARAMS = MemViewParams()
+
+
+class MemorySample(NamedTuple):
+    """Inputs observed at an update boundary (all bytes).
+
+    A named tuple rather than a dataclass: one is built per view-timer
+    firing, and tuple construction is the cheapest immutable record.
+    """
 
     cfree: int   # system-wide free memory now
     pfree: int   # system-wide free memory at the previous update
@@ -70,10 +78,10 @@ def _impact_ratio(sample: MemorySample, params: MemViewParams) -> float:
     return min(max(ratio, 0.0), params.max_impact_ratio)
 
 
-def step_effective_memory(e_mem: int, *, soft_limit: int, hard_limit: int,
+def step_effective_memory(e_mem: int, soft_limit: int, hard_limit: int,
                           sample: MemorySample, low_mark: int, high_mark: int,
                           reclaiming: bool = False,
-                          params: MemViewParams | None = None) -> int:
+                          params: MemViewParams = _DEFAULT_PARAMS) -> int:
     """One update step of Algorithm 2.
 
     Returns the new effective memory in bytes.  ``soft_limit`` and
@@ -85,25 +93,30 @@ def step_effective_memory(e_mem: int, *, soft_limit: int, hard_limit: int,
     also counts as a shortage (Algorithm 2 line 13: "Reset effective
     memory if reclaiming memory").
     """
-    p = params or MemViewParams()
-    e_mem = max(min(e_mem, hard_limit), min(soft_limit, hard_limit))
-    if not p.dynamic:
-        return min(soft_limit, hard_limit)
-    if reclaiming or sample.cfree <= low_mark:
+    # This runs once per view-timer firing, so the floor and the clamp
+    # of E_MEM to [floor, hard_limit] are comparisons, not min/max calls.
+    floor = hard_limit if hard_limit < soft_limit else soft_limit
+    if not params.dynamic:
+        return floor
+    cfree = sample.cfree
+    if reclaiming or cfree <= low_mark:
         # Memory shortage: kswapd is (or was just) reclaiming.
-        return min(soft_limit, hard_limit)
+        return floor
+    if e_mem <= floor:
+        e_mem = floor
     if e_mem >= hard_limit:
         return hard_limit
     usage_frac = sample.cmem / e_mem if e_mem > 0 else 1.0
-    if usage_frac <= p.usage_threshold:
+    if usage_frac <= params.usage_threshold:
         return e_mem
     headroom = hard_limit - e_mem
     # Snap the last sub-MiB of headroom so E actually reaches the hard
     # limit instead of stalling asymptotically a few bytes short.
-    delta = headroom if headroom <= 1 << 20 else int(headroom * p.increment_frac)
+    delta = (headroom if headroom <= 1 << 20
+             else int(headroom * params.increment_frac))
     if delta <= 0:
         return e_mem
-    predicted_drop = int(_impact_ratio(sample, p) * delta)
-    if sample.cfree - predicted_drop > high_mark:
+    predicted_drop = int(_impact_ratio(sample, params) * delta)
+    if cfree - predicted_drop > high_mark:
         return min(hard_limit, e_mem + delta)
     return e_mem

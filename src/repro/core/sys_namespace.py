@@ -31,9 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.mm.memcg import MemoryManager
     from repro.kernel.proc import Process
     from repro.kernel.sched.fair import FairScheduler
+    from repro.sim.clock import SimClock
     from repro.sim.events import EventHandle, EventLoop
 
 __all__ = ["SysNamespace"]
+
+#: Builds a ``MemorySample`` straight from its field tuple, skipping the
+#: named tuple's Python-level ``__new__``: one sample is built per
+#: timer firing, and that wrapper is most of its cost.
+_new_sample = tuple.__new__
 
 
 class SysNamespace(Namespace):
@@ -66,7 +72,10 @@ class SysNamespace(Namespace):
         self._pmem = cgroup.memory.usage_in_bytes
         self._last_kswapd_runs = mm.kswapd_runs
         self._timer: EventHandle | None = None
-        self._events: EventLoop | None = None
+        self._clock: SimClock | None = None
+        #: Period the last ``update`` ran with; ``_on_timer`` re-arms
+        #: the timer with it.
+        self._period = 0.0
         #: Fixed update period override (None = track the CFS scheduling
         #: period, the paper's choice; used by the update-period ablation).
         self.update_period_override = update_period
@@ -115,7 +124,7 @@ class SysNamespace(Namespace):
         """Arm the update timer at the current CFS scheduling period."""
         if self._timer is not None and self._timer.active:
             return
-        self._events = events
+        self._clock = events.clock
         period = self._current_period()
         self._timer = events.call_every(period, self._on_timer,
                                         name=f"sys_ns:{self.cgroup.name}")
@@ -131,48 +140,59 @@ class SysNamespace(Namespace):
         return scheduling_period(self.scheduler.n_runnable_total())
 
     def _on_timer(self) -> None:
-        now = self._events.clock.now if self._events is not None else 0.0
-        self.update(now)
-        # Track the Linux scheduling period as the task population changes.
-        if self._timer is not None:
-            self._timer.period = self._current_period()
+        self.update(self._clock.now)
+        # Track the Linux scheduling period as the task population
+        # changes.  ``update`` already read it, and nothing it does can
+        # move the runnable count, so its reading is the current one.
+        timer = self._timer
+        if timer is not None:
+            timer.period = self._period
 
     def update(self, now: float) -> None:
-        """Run one step of Algorithms 1 and 2 against kernel accounting."""
+        """Run one step of Algorithms 1 and 2 against kernel accounting.
+
+        This is the body of every timer firing, so each cgroup,
+        scheduler and memory-manager field is read once into a local.
+        """
         self.update_count += 1
-        prev_e_cpu, prev_e_mem = self.e_cpu, self.e_mem
+        cgroup = self.cgroup
+        mm = self.mm
+        prev_e_cpu = self.e_cpu
+        prev_e_mem = self.e_mem
         # ---- effective CPU (Algorithm 1, lines 8-17) ----
-        usage = self.cgroup.total_cpu_time - self._last_cpu_time
-        slack = self.scheduler.total_idle_time - self._last_idle_time
-        self._last_cpu_time = self.cgroup.total_cpu_time
-        self._last_idle_time = self.scheduler.total_idle_time
-        period = self._current_period()
-        capacity_window = self.e_cpu * period
-        self.e_cpu = step_effective_cpu(
-            self.e_cpu, self.bounds, usage=usage,
-            capacity_window=capacity_window, slack=slack,
-            params=self.cpu_params)
+        cpu_time = cgroup.total_cpu_time
+        idle_time = self.scheduler.total_idle_time
+        self._period = period = self._current_period()
+        # Positional arguments: CPython does not specialise calls with
+        # keyword arguments, and these run once per timer firing.
+        e_cpu = step_effective_cpu(
+            prev_e_cpu, self.bounds, cpu_time - self._last_cpu_time,
+            prev_e_cpu * period, idle_time - self._last_idle_time,
+            self.cpu_params)
+        self._last_cpu_time = cpu_time
+        self._last_idle_time = idle_time
         # ---- effective memory (Algorithm 2) ----
-        cfree = self.mm.free
-        cmem = self.cgroup.memory.usage_in_bytes
-        sample = MemorySample(cfree=cfree, pfree=self._pfree,
-                              cmem=cmem, pmem=self._pmem)
-        reclaimed_in_window = self.mm.kswapd_runs > self._last_kswapd_runs
-        self._last_kswapd_runs = self.mm.kswapd_runs
-        self.e_mem = step_effective_memory(
-            self.e_mem, soft_limit=self.soft_limit, hard_limit=self.hard_limit,
-            sample=sample, low_mark=self.mm.watermarks.low,
-            high_mark=self.mm.watermarks.high,
-            reclaiming=reclaimed_in_window or self.mm.reclaiming,
-            params=self.mem_params)
+        cfree = mm.free
+        cmem = cgroup.memory.usage_in_bytes
+        kswapd_runs = mm.kswapd_runs
+        watermarks = mm.watermarks
+        e_mem = step_effective_memory(
+            prev_e_mem, self.soft_limit, self.hard_limit,
+            _new_sample(MemorySample, (cfree, self._pfree, cmem, self._pmem)),
+            watermarks.low, watermarks.high,
+            kswapd_runs > self._last_kswapd_runs or mm.reclaiming,
+            self.mem_params)
+        self._last_kswapd_runs = kswapd_runs
         self._pfree = cfree
         self._pmem = cmem
+        self.e_cpu = e_cpu
+        self.e_mem = e_mem
         if self.record_history:
-            self.history.append((now, self.e_cpu, self.e_mem))
-        if self.trace is not None and (self.e_cpu != prev_e_cpu
-                                       or self.e_mem != prev_e_mem):
-            self.trace.emit("view.update", self.cgroup.name,
-                            e_cpu=self.e_cpu, e_mem=self.e_mem)
+            self.history.append((now, e_cpu, e_mem))
+        if self.trace is not None and (e_cpu != prev_e_cpu
+                                       or e_mem != prev_e_mem):
+            self.trace.emit("view.update", cgroup.name,
+                            e_cpu=e_cpu, e_mem=e_mem)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SysNamespace {self.cgroup.name!r} e_cpu={self.e_cpu} "

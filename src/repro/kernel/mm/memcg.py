@@ -124,7 +124,7 @@ class MemoryManager:
     @property
     def free(self) -> int:
         """Allocatable free memory on the host."""
-        return self.total - self.params.kernel_reserved - self.total_resident
+        return self.total - self.params.kernel_reserved - self._total_resident
 
     @property
     def available_capacity(self) -> int:

@@ -89,11 +89,6 @@ class EventLoop:
         handle._in_heap = True
         heapq.heappush(self._heap, (when, next(self._counter), handle))
 
-    def _popped(self, handle: EventHandle) -> None:
-        handle._in_heap = False
-        if handle.cancelled:
-            self._n_cancelled -= 1
-
     def _note_cancelled(self) -> None:
         """A live heap entry was cancelled; compact when they dominate.
 
@@ -127,7 +122,7 @@ class EventLoop:
         retain (or cancel) it once it has fired.  Cancelling a pending
         transient handle is safe — cancelled handles are never recycled.
         """
-        if when < self.clock.now:
+        if not when >= self.clock.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event {name!r} at {when!r}, now is {self.clock.now!r}")
         if transient and self._pool:
@@ -146,8 +141,9 @@ class EventLoop:
     def call_after(self, delay: float, callback: Callable[[], None], *,
                    name: str = "", transient: bool = False) -> EventHandle:
         """Schedule ``callback`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r} for event {name!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"delay must be non-negative, got {delay!r} for event {name!r}")
         return self.call_at(self.clock.now + delay, callback, name=name,
                             transient=transient)
 
@@ -159,11 +155,12 @@ class EventLoop:
         mutate ``handle.period`` between firings (the sys_namespace update
         timer does this to track the Linux scheduling period).
         """
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise SimulationError(f"timer period must be positive, got {period!r}")
         delay = period if first_after is None else first_after
-        if delay < 0:
-            raise SimulationError(f"negative first_after {delay!r} for timer {name!r}")
+        if not delay >= 0:
+            raise SimulationError(
+                f"first_after must be non-negative, got {delay!r} for timer {name!r}")
         handle = EventHandle(self.clock.now + delay, callback, period=period, name=name)
         self._push(handle, handle.when)
         return handle
@@ -172,9 +169,11 @@ class EventLoop:
 
     def next_event_time(self) -> float | None:
         """Absolute time of the earliest pending event, or None if idle."""
-        while self._heap and self._heap[0][2].cancelled:
-            self._popped(heapq.heappop(self._heap)[2])
-        return self._heap[0][0] if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)[2]._in_heap = False
+            self._n_cancelled -= 1
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
         return len(self._heap) - self._n_cancelled
@@ -223,28 +222,35 @@ class EventLoop:
             nxt = self.next_event_time()
             if nxt is None or nxt > deadline:
                 break
-            self._pop_and_fire()
+            self.step()
         self.clock.advance_to(max(deadline, self.clock.now))
 
     def step(self) -> bool:
-        """Fire the single earliest event.  Returns False if queue empty."""
-        if self.next_event_time() is None:
-            return False
-        self._pop_and_fire()
-        return True
+        """Fire the single earliest event.  Returns False if queue empty.
 
-    def _pop_and_fire(self) -> None:
-        when, _, handle = heapq.heappop(self._heap)
-        self._popped(handle)
-        if handle.cancelled:
-            return
-        self.clock.advance_to(when)
+        The one firing path: :meth:`run_until` and the world's main loop
+        both fire through here.  It pops straight off the heap, dropping
+        cancelled entries on the way, so a caller that has just peeked
+        with :meth:`next_event_time` (which leaves a live entry on top)
+        touches the heap once per event.
+        """
+        heap = self._heap
+        while heap:
+            when, _, handle = heapq.heappop(heap)
+            handle._in_heap = False
+            if not handle.cancelled:
+                break
+            self._n_cancelled -= 1
+        else:
+            return False
+        clock = self.clock
+        clock.advance_to(when)
         handle._fired = True
         handle.callback()
         # Re-arm periodic timers unless the callback cancelled them.
         if handle.period is not None:
             if not handle.cancelled:
-                handle.when = self.clock.now + handle.period
+                handle.when = clock.now + handle.period
                 self._push(handle, handle.when)
         elif (handle._transient and not handle.cancelled
                 and not handle._in_heap
@@ -256,3 +262,4 @@ class EventLoop:
             # at its old deadline.
             handle.callback = None  # type: ignore[assignment]
             self._pool.append(handle)
+        return True

@@ -17,6 +17,7 @@ accruing CPU usage, idle capacity, and load averages over the jump.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.container.runtime import ContainerRuntime
@@ -63,6 +64,13 @@ class World:
             raise SimulationError(
                 f"unknown engine {engine!r}: expected 'incremental', "
                 f"'scan', or 'vector'")
+        if sys_ns_update_period is not None and not (
+                0 < sys_ns_update_period < math.inf):
+            # Checked here, not when the first container arms its timer:
+            # by then its cgroup and namespace would already exist.
+            raise SimulationError(
+                f"sys_ns_update_period must be None or positive and finite, "
+                f"got {sys_ns_update_period!r}")
         self.engine = engine
         self.clock = SimClock()
         self.events = EventLoop(self.clock)
@@ -134,11 +142,15 @@ class World:
         # Handle completed segments before timers due at the same instant,
         # then fire every event that is now due.
         self._complete_finished_segments()
+        # One heap peek per event: the peek leaves a live entry on top,
+        # and ``step`` pops and fires exactly that entry.
+        events = self.events
+        clock = self.clock
         while True:
-            ne = self.events.next_event_time()
-            if ne is None or ne > self.clock.now + _TIME_EPS:
+            ne = events.next_event_time()
+            if ne is None or ne > clock.now + _TIME_EPS:
                 break
-            self.events.step()
+            events.step()
         self._complete_finished_segments()
         self.steps += 1
         return True
@@ -187,6 +199,8 @@ class World:
 
     def run(self, *, until: float | None = None, max_steps: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or step budget ends."""
+        if until is not None and math.isnan(until):
+            raise SimulationError("run(until=nan): the deadline is never reached")
         steps = 0
         while True:
             if until is not None and self.clock.now >= until - _TIME_EPS:
@@ -233,6 +247,8 @@ class World:
     def run_until(self, predicate: Callable[[], bool], *,
                   timeout: float = 1e7) -> bool:
         """Run until ``predicate()`` is true.  Returns False on timeout/idle."""
+        if math.isnan(timeout):
+            raise SimulationError("run_until(timeout=nan): the deadline is never reached")
         deadline = self.clock.now + timeout
         while not predicate():
             if self.clock.now >= deadline:

@@ -106,6 +106,22 @@ class TestEventLoop:
         # After the mutation the timer re-arms at +2.0 intervals.
         assert self.fired[2] == pytest.approx(4.0)
 
+    def test_timer_rearms_after_its_callback_compacts_the_heap(self):
+        """A callback's cancellations can rebuild the heap as a new list;
+        the firing timer must re-arm into that list, not the old one."""
+        doomed = [self.loop.call_at(5.0 + i, lambda: None) for i in range(80)]
+
+        def cancel_all():
+            self.fired.append(self.clock.now)
+            for h in doomed:
+                h.cancel()
+        self.loop.call_every(1.0, cancel_all)
+        self.loop.run_until(3.5)
+        assert self.fired == [1.0, 2.0, 3.0]
+        report = self.loop.integrity()
+        assert report["live"] == len(self.loop) == 1
+        assert report["cancelled"] == report["tracked_cancelled"]
+
     def test_zero_period_rejected(self):
         with pytest.raises(SimulationError):
             self.loop.call_every(0.0, lambda: None)
@@ -134,6 +150,52 @@ class TestEventLoop:
         self.loop.call_at(1.0, chain)
         self.loop.run_until(10.0)
         assert self.fired == [1.0, 2.0, 3.0]
+
+
+class TestNanTimesRejected:
+    """NaN compares false against every bound, so an unchecked NaN time
+    slips past the "not in the past" and "positive period" checks: a NaN
+    one-shot then sorts before earlier events and drags ``clock.now``
+    through NaN.  Every scheduling entry point must refuse it and leave
+    the queue exactly as it was."""
+
+    NAN = float("nan")
+
+    def setup_method(self):
+        self.clock = SimClock()
+        self.loop = EventLoop(self.clock)
+        self.fired: list = []
+        # One recycled transient in the free list (a NaN call_at must not
+        # consume it), one pending one-shot and one periodic timer.
+        self.loop.call_at(0.1, lambda: None, transient=True)
+        self.loop.run_until(0.2)
+        self.loop.call_at(1.0, lambda: self.fired.append(self.clock.now))
+        self.loop.call_every(0.5, lambda: self.fired.append(self.clock.now))
+        self.before = self.loop.integrity()
+        assert self.before["pooled"] == 1
+
+    @pytest.mark.parametrize("schedule", [
+        lambda loop, nan: loop.call_at(nan, lambda: None),
+        lambda loop, nan: loop.call_at(nan, lambda: None, transient=True),
+        lambda loop, nan: loop.call_after(nan, lambda: None),
+        lambda loop, nan: loop.call_after(nan, lambda: None, transient=True),
+        lambda loop, nan: loop.call_every(nan, lambda: None),
+        lambda loop, nan: loop.call_every(1.0, lambda: None, first_after=nan),
+    ], ids=["call_at", "call_at_transient", "call_after",
+            "call_after_transient", "call_every_period",
+            "call_every_first_after"])
+    def test_rejected_and_nothing_pushed(self, schedule):
+        with pytest.raises(SimulationError):
+            schedule(self.loop, self.NAN)
+        assert self.loop.integrity() == self.before
+        assert len(self.loop) == 2
+
+    def test_queue_order_and_clock_unaffected(self):
+        with pytest.raises(SimulationError):
+            self.loop.call_at(self.NAN, lambda: self.fired.append("nan"))
+        self.loop.run_until(1.2)
+        assert self.fired == [0.7, 1.0, 1.2]
+        assert self.clock.now == 1.2
 
 
 class TestTransientHandlePool:
@@ -321,3 +383,148 @@ class TestEventLoopProperties:
         for p, c in zip(periods, counts):
             expected = math.floor(horizon / p + 1e-9)
             assert abs(c - expected) <= 1  # float boundary tolerance
+
+
+class TestEventLoopReference:
+    """Hypothesis: the loop against a sorted-list reference model.
+
+    Random programs mix one-shots (plain and transient, so recycled
+    handles are handed out again), periodic timers whose callbacks
+    change their own period, outside period edits, cancellations (bulk
+    ones push the heap into compaction), single ``step`` calls and
+    ``run_until`` deadlines.  The reference keeps the pending events as
+    a plain list ordered by ``(when, insertion number)``; after every
+    operation the fired sequence, the clock and ``integrity()`` must
+    agree with it.
+    """
+
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    OPS = st.lists(st.one_of(
+        st.tuples(st.just("at"), st.floats(min_value=0.0, max_value=3.0),
+                  st.integers(1, 80), st.booleans()),
+        st.tuples(st.just("every"), st.floats(min_value=0.05, max_value=1.0),
+                  st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+                  st.floats(min_value=0.5, max_value=2.0)),
+        st.tuples(st.just("cancel"), st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("period"), st.integers(0, 1000),
+                  st.floats(min_value=0.05, max_value=1.0)),
+        st.tuples(st.just("step"), st.integers(1, 30)),
+        st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=2.0)),
+    ), min_size=1, max_size=60)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=OPS)
+    # Compaction: 80 pending, then every other one cancelled, then the
+    # rest; recycled transients; a timer edited from outside.
+    @example(ops=[("at", 1.0, 80, True), ("every", 0.1, None, 2.0),
+                  ("cancel", 2, 0), ("cancel", 1, 0), ("at", 0.5, 3, True),
+                  ("step", 10), ("at", 1.0, 70, True), ("period", 0, 0.3),
+                  ("run", 1.5), ("at", 0.2, 5, True), ("cancel", 3, 1),
+                  ("run", 1.0)])
+    def test_matches_sorted_list_reference(self, ops):
+        clock = SimClock()
+        loop = EventLoop(clock)
+        fired: list[tuple[int, float]] = []
+        ref_fired: list[tuple[int, float]] = []
+        # Reference: id -> [when, seq, period or None, transient];
+        # ``seq`` mirrors the loop's insertion counter, which every push
+        # (scheduling or re-arming) advances.
+        pending: dict[int, list] = {}
+        handles: dict[int, object] = {}
+        # Periodic timers' callbacks toggle the period between two
+        # values (a shrinking factor would fire infinitely often before
+        # a deadline).
+        periods: dict[int, tuple[float, float]] = {}
+        seq = [0]
+        pooled = [0]
+        next_id = [0]
+
+        def push(ident, when, period, transient):
+            pending[ident] = [when, seq[0], period, transient]
+            seq[0] += 1
+
+        def toggled(ident, period):
+            base, alt = periods[ident]
+            return alt if period == base else base
+
+        def make_callback(ident):
+            def callback():
+                fired.append((ident, clock.now))
+                if ident in periods:   # a view-timer-like period change
+                    h = handles[ident]
+                    h.period = toggled(ident, h.period)
+            return callback
+
+        def ref_fire_next(deadline=None):
+            if not pending:
+                return False
+            ident = min(pending, key=lambda i: pending[i][:2])
+            when, _, period, transient = pending[ident]
+            if deadline is not None and when > deadline:
+                return False
+            del pending[ident]
+            now = float(when)
+            ref_fired.append((ident, now))
+            if period is not None:
+                period = toggled(ident, period)
+                push(ident, now + period, period, False)
+            elif transient:
+                del handles[ident]   # fired transients must not be kept
+                pooled[0] = min(pooled[0] + 1, EventLoop._POOL_MAX)
+            return True
+
+        for op in ops:
+            kind = op[0]
+            if kind == "at":
+                _, delay, count, transient = op
+                for k in range(count):
+                    ident = next_id[0]
+                    next_id[0] += 1
+                    when = clock.now + delay * (k + 1) / count
+                    handles[ident] = loop.call_at(
+                        when, make_callback(ident), transient=transient)
+                    if transient and pooled[0]:
+                        pooled[0] -= 1
+                    push(ident, when, None, transient)
+            elif kind == "every":
+                _, period, first_after, factor = op
+                ident = next_id[0]
+                next_id[0] += 1
+                periods[ident] = (period, period * factor)
+                handles[ident] = loop.call_every(
+                    period, make_callback(ident), first_after=first_after)
+                delay = period if first_after is None else first_after
+                push(ident, clock.now + delay, period, False)
+            elif kind == "cancel":
+                _, stride, offset = op   # every stride-th pending event
+                for ident in sorted(pending)[offset % stride::stride]:
+                    handles[ident].cancel()
+                    del pending[ident]
+            elif kind == "period":
+                _, pick, period = op
+                timers = sorted(i for i in pending if pending[i][2] is not None)
+                if timers:
+                    ident = timers[pick % len(timers)]
+                    handles[ident].period = period
+                    pending[ident][2] = period
+            elif kind == "step":
+                for _ in range(op[1]):
+                    assert loop.step() is ref_fire_next()
+            else:
+                deadline = clock.now + op[1]
+                loop.run_until(deadline)
+                while ref_fire_next(deadline):
+                    pass
+            assert fired == ref_fired
+            if ref_fired:
+                assert clock.now >= ref_fired[-1][1]
+            report = loop.integrity()
+            assert report["live"] == len(pending) == len(loop)
+            assert report["cancelled"] == report["tracked_cancelled"]
+            assert report["flag_errors"] == report["pool_errors"] == 0
+            assert report["pooled"] == pooled[0]
+            nxt = loop.next_event_time()
+            assert nxt == (min(p[:2] for p in pending.values())[0]
+                           if pending else None)

@@ -264,3 +264,146 @@ class TestOwnershipLifecycle:
         w.containers.destroy(c)
         w.run(until=2.0)
         assert c.sys_ns.update_count == n
+
+
+class TestTimerFiringDifferential:
+    """Hypothesis: every timer firing equals Algorithms 1 and 2 applied to
+    its window.
+
+    Random worlds (CPU quotas, shares, memory limits, busy threads,
+    memory charges including a host hog that wakes kswapd, container
+    churn) run through their ``sys_namespace`` timers.  The test keeps
+    its own window bookmarks and, at each firing, recomputes E_CPU and
+    E_MEM with :func:`step_effective_cpu` and
+    :func:`step_effective_memory` from those window inputs; the timer's
+    next period must be the CFS scheduling period for the runnable
+    count at the firing, or the fixed override.  History and
+    ``view.update`` trace events must record exactly the firings.
+    """
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    CONTAINER = st.fixed_dictionaries({
+        "cpus": st.one_of(st.none(), st.floats(min_value=0.5, max_value=6.0)),
+        "shares": st.sampled_from([256, 512, 1024, 2048, 4096]),
+        "limit_mib": st.one_of(st.none(), st.integers(256, 3072)),
+        "soft_frac": st.floats(min_value=0.2, max_value=1.0),
+        "threads": st.lists(st.floats(min_value=0.005, max_value=0.8),
+                            max_size=4),
+        "charges": st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                      st.integers(16, 1024)), max_size=4),
+        "destroy_at": st.one_of(st.none(), st.floats(min_value=0.05,
+                                                     max_value=1.0)),
+    })
+
+    @settings(max_examples=25, deadline=None)
+    @given(ncpus=st.integers(2, 8),
+           containers=st.lists(CONTAINER, min_size=1, max_size=4),
+           period=st.one_of(st.none(), st.sampled_from([0.004, 0.01, 0.05])),
+           cpu_dynamic=st.booleans(), mem_dynamic=st.booleans(),
+           trace=st.booleans(), record_history=st.booleans(),
+           hog_at=st.one_of(st.none(), st.floats(min_value=0.1, max_value=0.9)))
+    def test_each_firing_matches_the_algorithms(
+            self, ncpus, containers, period, cpu_dynamic, mem_dynamic, trace,
+            record_history, hog_at):
+        from repro.core.effective_cpu import CpuViewParams, step_effective_cpu
+        from repro.core.effective_memory import (MemorySample, MemViewParams,
+                                                 step_effective_memory)
+        from repro.errors import MemoryError_
+        from repro.kernel.sched.period import scheduling_period
+
+        w = World(ncpus=ncpus, memory=gib(4), trace=trace,
+                  cpu_view_params=CpuViewParams(dynamic=cpu_dynamic),
+                  mem_view_params=MemViewParams(dynamic=mem_dynamic),
+                  sys_ns_update_period=period)
+        sched, mm = w.sched, w.mm
+        traced: list[tuple] = []
+
+        def on_trace(e):
+            if e.category == "view.update":
+                traced.append((e.time, e.message, e.fields["e_cpu"],
+                               e.fields["e_mem"]))
+        w.trace.subscribe(on_trace)
+        expected_trace: list[tuple] = []
+        histories: dict[str, list] = {}
+        firings = [0]
+
+        def charge(cg, nbytes):
+            if cg.destroyed:
+                return
+            try:
+                mm.charge(cg, nbytes)
+            except MemoryError_:
+                pass
+
+        def observe(ns):
+            cg, handle = ns.cgroup, ns._timer
+            on_timer = handle.callback
+            window = {"cpu": cg.total_cpu_time, "idle": sched.total_idle_time,
+                      "free": mm.free, "mem": cg.memory.usage_in_bytes,
+                      "kswapd": mm.kswapd_runs}
+            history = histories.setdefault(cg.name, [])
+
+            def checked():
+                e_cpu, e_mem = ns.e_cpu, ns.e_mem
+                now_period = (period if period is not None
+                              else scheduling_period(sched.n_runnable_total()))
+                cpu_time, idle = cg.total_cpu_time, sched.total_idle_time
+                cfree, cmem = mm.free, cg.memory.usage_in_bytes
+                runs = mm.kswapd_runs
+                want_cpu = step_effective_cpu(
+                    e_cpu, ns.bounds, usage=cpu_time - window["cpu"],
+                    capacity_window=e_cpu * now_period,
+                    slack=idle - window["idle"], params=ns.cpu_params)
+                want_mem = step_effective_memory(
+                    e_mem, soft_limit=ns.soft_limit, hard_limit=ns.hard_limit,
+                    sample=MemorySample(cfree=cfree, pfree=window["free"],
+                                        cmem=cmem, pmem=window["mem"]),
+                    low_mark=mm.watermarks.low, high_mark=mm.watermarks.high,
+                    reclaiming=runs > window["kswapd"] or mm.reclaiming,
+                    params=ns.mem_params)
+                on_timer()
+                assert (ns.e_cpu, ns.e_mem) == (want_cpu, want_mem)
+                assert handle.period == now_period
+                window.update(cpu=cpu_time, idle=idle, free=cfree, mem=cmem,
+                              kswapd=runs)
+                history.append((w.now, want_cpu, want_mem))
+                if (want_cpu, want_mem) != (e_cpu, e_mem):
+                    expected_trace.append((w.now, cg.name, want_cpu, want_mem))
+                firings[0] += 1
+
+            handle.callback = checked
+
+        created = []
+        for i, spec in enumerate(containers):
+            limit = (None if spec["limit_mib"] is None
+                     else mib(spec["limit_mib"]))
+            soft = None if limit is None else int(limit * spec["soft_frac"])
+            c = w.containers.create(
+                ContainerSpec(f"c{i}", cpus=spec["cpus"],
+                              cpu_shares=spec["shares"], memory_limit=limit,
+                              memory_soft_limit=soft),
+                record_history=record_history)
+            observe(c.sys_ns)
+            created.append(c)
+            for j, work in enumerate(spec["threads"]):
+                def rechain(th, work=work):
+                    th.assign_work(work, rechain)
+                c.spawn_thread(f"t{j}").assign_work(work, rechain)
+            for at, size in spec["charges"]:
+                w.events.call_at(at, lambda cg=c.cgroup, n=mib(size):
+                                 charge(cg, n))
+            if spec["destroy_at"] is not None:
+                w.events.call_at(spec["destroy_at"],
+                                 lambda c=c: w.containers.destroy(c))
+        if hog_at is not None:
+            hog = w.cgroups.root.create_child("hog")
+            w.events.call_at(hog_at, lambda: charge(hog, mm.free - mib(32)))
+
+        w.run(until=1.2)
+        assert firings[0] > 0
+        for c in created:
+            assert c.sys_ns.history == (histories[c.name] if record_history
+                                        else [])
+        assert traced == (expected_trace if trace else [])

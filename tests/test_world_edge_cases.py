@@ -1,5 +1,8 @@
 """Edge-case tests for the world loop and scheduler corner states."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.container.spec import ContainerSpec
@@ -39,6 +42,58 @@ class TestRunBudget:
         world.run(until=2.0)
         world.run(until=1.0)  # already past: no time travel
         assert world.now == 2.0
+
+
+@contextlib.contextmanager
+def _fail_after(seconds: float):
+    """Turn a hang into a test failure (a NaN deadline used to spin forever)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestTimeInputValidation:
+    """Bad time inputs are refused before they change any state."""
+
+    @pytest.fixture
+    def busy_world(self, world):
+        c = world.containers.create(ContainerSpec("c0"))
+        c.spawn_thread("w").assign_work(1e9)
+        world.run(until=0.5)
+        return world
+
+    @pytest.mark.parametrize("period", [0, -1, 0.0, float("nan"),
+                                        float("inf"), float("-inf")])
+    def test_bad_update_period_rejected_at_construction(self, period):
+        # Refused by the constructor: a rejection at the first
+        # ``containers.create`` would come after that container's cgroup
+        # and namespace already exist.
+        with pytest.raises(SimulationError, match="sys_ns_update_period"):
+            World(ncpus=4, memory=gib(8), sys_ns_update_period=period)
+
+    def test_good_update_period_drives_the_timer(self):
+        w = World(ncpus=4, memory=gib(8), sys_ns_update_period=0.01)
+        c = w.containers.create(ContainerSpec("c0"))
+        w.run(until=0.1)
+        assert c.sys_ns.update_count == 10
+
+    def test_nan_until_rejected_without_side_effects(self, busy_world):
+        before = busy_world.invariant_snapshot()
+        with _fail_after(10.0), pytest.raises(SimulationError):
+            busy_world.run(until=float("nan"))
+        assert busy_world.invariant_snapshot() == before
+
+    def test_nan_timeout_rejected_without_side_effects(self, busy_world):
+        before = busy_world.invariant_snapshot()
+        with _fail_after(10.0), pytest.raises(SimulationError):
+            busy_world.run_until(lambda: False, timeout=float("nan"))
+        assert busy_world.invariant_snapshot() == before
 
 
 class TestCascadeGuard:
