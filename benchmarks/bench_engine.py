@@ -15,11 +15,10 @@ Run directly to produce ``BENCH_engine.json``::
     PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
 ``--mode scan`` runs the brute-force reference engine (full re-solve +
-thread scans) for before/after comparisons; ``--mode vector`` runs the
-incremental engine with the numpy solve backend; ``--mode both`` runs
-each scenario under incremental and scan, ``--mode all`` under all
-three.  ``benchmarks/check_engine_regression.py``
-compares a fresh run against the committed baseline.
+thread scans) for before/after comparisons; ``--mode both`` runs each
+scenario under incremental and scan.
+``benchmarks/check_engine_regression.py`` compares a fresh run against
+the committed baseline.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="smaller scenarios for CI smoke runs")
     ap.add_argument("--mode",
-                    choices=["incremental", "scan", "vector", "both", "all"],
+                    choices=["incremental", "scan", "both"],
                     default="incremental")
     ap.add_argument("--profile", action="store_true",
                     help="attach the engine self-profiler and report "
@@ -200,8 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     modes: list[str | None]
     if args.mode == "both":
         modes = ["incremental", "scan"]
-    elif args.mode == "all":
-        modes = ["incremental", "scan", "vector"]
     else:
         modes = [args.mode]
     results = run_all(quick=args.quick, modes=modes, profile=args.profile)

@@ -3,9 +3,9 @@
 The correctness backbone of the simulator: seeded random scenarios
 (container churn, cgroup edits at random times, OOM-prone memory
 workloads, traffic-phase thread loops) run under two or more
-*variants* — engines (``incremental``, ``scan``, ``vector``), policy
-bundles (``default``, ``burstable``, ``intent``, ...) or cluster shard
-layouts (``jobs=N``) — with every boundary checked against a pluggable
+*variants* — engines (``incremental``, ``scan``), policy bundles
+(``default``, ``burstable``, ``intent``, ...) or cluster shard layouts
+(``jobs=N``) — with every boundary checked against a pluggable
 invariant suite.  The *oracle* then judges the runs: ``identical``
 (engines, shard layouts) demands byte-identical state digests on top,
 ``lawful`` (bundles, which may lawfully allocate differently) only the

@@ -16,14 +16,13 @@ Modes (combinable with ``--diff``, ``--shrink`` and ``--fixtures``):
   incremental/scan engine pair).
 
 ``--diff A,B[,C...]`` picks the variants every mode compares (default
-``incremental,scan``): engines (``incremental``, ``scan``,
-``vector``), registered policy bundles (``default``, ``burstable``,
-``intent``, ...) or shard layouts (``jobs=N``), all of one kind, the
-first being the reference.  Engines and shard layouts must agree byte
-for byte; bundles need only each stay lawful — see
-:mod:`repro.check.differ`.  ``jobs=N`` variants run cluster scenarios
-that spawn their own shard workers, so they always sweep in-process,
-whatever ``--jobs`` says.
+``incremental,scan``): engines (``incremental``, ``scan``), registered
+policy bundles (``default``, ``burstable``, ``intent``, ...) or shard
+layouts (``jobs=N``), all of one kind, the first being the reference.
+Engines and shard layouts must agree byte for byte; bundles need only
+each stay lawful — see :mod:`repro.check.differ`.  ``jobs=N`` variants
+run cluster scenarios that spawn their own shard workers, so they
+always sweep in-process, whatever ``--jobs`` says.
 
 Every mode ends with the same grep-able summary line
 (``check: seeds=N failures=M cache_hits=K``); exit status is 0 only if
@@ -77,7 +76,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--diff", type=_variants, default=DEFAULT_VARIANTS,
                         metavar="A,B[,...]",
                         help="variants to compare, first = reference: "
-                             "engines (incremental,scan,vector), policy "
+                             "engines (incremental,scan), policy "
                              "bundles (default,burstable,intent,...) or "
                              "shard layouts (jobs=1,jobs=2,...); default "
                              "incremental,scan")

@@ -2,7 +2,7 @@
 
 A *variant* is one name, of one of three kinds:
 
-* an engine — ``incremental``, ``scan`` or ``vector`` (default policies);
+* an engine — ``incremental`` or ``scan`` (default policies);
 * a registered policy bundle — ``default``, ``burstable``, ``intent``,
   ... (incremental engine, see :mod:`repro.policy`);
 * a shard layout — ``jobs=N`` (the cluster scenario family of

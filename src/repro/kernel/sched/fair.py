@@ -284,7 +284,7 @@ class FairScheduler:
 
     def __init__(self, host: HostCpus, cgroups: CgroupRoot,
                  params: SchedParams | None = None, *,
-                 incremental: bool = True, vector: bool = False,
+                 incremental: bool = True,
                  policy: "SchedPolicy | str | None" = None):
         self.host = host
         self.cgroups = cgroups
@@ -293,15 +293,6 @@ class FairScheduler:
         self.policy = make_sched_policy(
             "default" if policy is None else policy)
         self._incremental = incremental
-        #: Array solve backend (``engine="vector"``): answers pure-policy
-        #: domain solves from flat arrays, bit-identically to the scalar
-        #: path.  Stays None — a graceful scalar fallback — when numpy
-        #: is not installed or the engine did not ask for it.
-        self._vector = None
-        if vector:
-            from repro.kernel.sched import vector as vector_backend
-            if vector_backend.available():
-                self._vector = vector_backend.VectorBackend(cgroups)
         self._snapshot: list[GroupAlloc] = []
         self._galloc: dict[Cgroup, GroupAlloc] = {}
         #: Pooled per-cgroup GroupAlloc objects: publication writes the
@@ -610,12 +601,6 @@ class FairScheduler:
         cache = self._solve_cache
         key = self._solve_key(members, capacity) if cache is not None else None
         rows = cache.get(key) if key is not None else None
-        if rows is None and self._vector is not None:
-            rows = self._vector_rows(members, capacity)
-            if rows is not None and key is not None:
-                if len(cache) >= _SOLVE_CACHE_MAX:
-                    cache.clear()
-                cache[key] = rows
         if rows is None:
             allocs = self._policy_solve(members, capacity)
             by_cg = {g.cgroup: g for g in allocs}
@@ -728,19 +713,6 @@ class FairScheduler:
             cg._occ_rate = rate / n if n else 0.0   # per_thread_occupancy
             if incremental:
                 push_entry(cg)
-
-    def _vector_rows(self, members: list[Cgroup], capacity: float):
-        """Array-backend domain solve (returns publication rows or None).
-
-        A separate method for the same reason as :meth:`_policy_solve`:
-        the profiler wraps it (the ``vector_solve`` bucket), and the
-        indirection survives policy swaps.  ``None`` means the current
-        policy carries no ``vector_kind`` tag the backend understands,
-        and the caller falls back to the scalar solve.
-        """
-        return self._vector.solve_rows(
-            getattr(self.policy, "vector_kind", None),
-            members, capacity, self.params)
 
     def _policy_solve(self, members: list[Cgroup],
                       capacity: float) -> list[GroupAlloc]:

@@ -36,8 +36,6 @@ class DefaultSchedPolicy(SchedPolicy):
     #: Stateless: allocations depend only on the domain-solve inputs,
     #: so the scheduler may memoize per-domain solves.
     pure = True
-    #: The vector backend reproduces this solve bit-identically.
-    vector_kind = "waterfill-quota"
 
     def solve(self, members: "list[Cgroup]", capacity: float,
               params: "SchedParams") -> list[GroupAlloc]:

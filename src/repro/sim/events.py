@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 
 __all__ = ["EventHandle", "EventLoop"]
+
+_INF = math.inf
 
 
 class EventHandle:
@@ -121,8 +124,10 @@ class EventLoop:
         and may be reused by a later ``call_at``, so the caller must not
         retain (or cancel) it once it has fired.  Cancelling a pending
         transient handle is safe — cancelled handles are never recycled.
+        An infinite ``when`` is rejected: the clock would jump to it and
+        never come back.
         """
-        if not when >= self.clock.now:  # also rejects NaN
+        if not self.clock.now <= when < _INF:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event {name!r} at {when!r}, now is {self.clock.now!r}")
         if transient and self._pool:
@@ -141,9 +146,10 @@ class EventLoop:
     def call_after(self, delay: float, callback: Callable[[], None], *,
                    name: str = "", transient: bool = False) -> EventHandle:
         """Schedule ``callback`` after ``delay`` seconds from now."""
-        if not delay >= 0:  # also rejects NaN
+        if not 0 <= delay < _INF:  # also rejects NaN
             raise SimulationError(
-                f"delay must be non-negative, got {delay!r} for event {name!r}")
+                f"delay must be non-negative and finite, got {delay!r} "
+                f"for event {name!r}")
         return self.call_at(self.clock.now + delay, callback, name=name,
                             transient=transient)
 
@@ -153,14 +159,18 @@ class EventLoop:
 
         ``first_after`` defaults to one full period.  The callback may
         mutate ``handle.period`` between firings (the sys_namespace update
-        timer does this to track the Linux scheduling period).
+        timer does this to track the Linux scheduling period); the period
+        it leaves must stay positive and finite, like ``period`` itself.
         """
-        if not period > 0:  # also rejects NaN
-            raise SimulationError(f"timer period must be positive, got {period!r}")
-        delay = period if first_after is None else first_after
-        if not delay >= 0:
+        if not 0 < period < _INF:  # also rejects NaN
             raise SimulationError(
-                f"first_after must be non-negative, got {delay!r} for timer {name!r}")
+                f"timer period must be positive and finite, got {period!r} "
+                f"for timer {name!r}")
+        delay = period if first_after is None else first_after
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"first_after must be non-negative and finite, got {delay!r} "
+                f"for timer {name!r}")
         handle = EventHandle(self.clock.now + delay, callback, period=period, name=name)
         self._push(handle, handle.when)
         return handle
@@ -248,9 +258,14 @@ class EventLoop:
         handle._fired = True
         handle.callback()
         # Re-arm periodic timers unless the callback cancelled them.
-        if handle.period is not None:
+        period = handle.period
+        if period is not None:
             if not handle.cancelled:
-                handle.when = clock.now + handle.period
+                if not 0 < period < _INF:  # also rejects NaN
+                    raise SimulationError(
+                        f"timer {handle.name!r} left period {period!r}: "
+                        f"expected positive and finite")
+                handle.when = clock.now + period
                 self._push(handle, handle.when)
         elif (handle._transient and not handle.cancelled
                 and not handle._in_heap

@@ -44,7 +44,7 @@ __all__ = ["World"]
 _TIME_EPS = 1e-9
 
 #: Engine names a :class:`World` accepts (see :mod:`repro.kernel.sched.fair`).
-ENGINES = ("incremental", "scan", "vector")
+ENGINES = ("incremental", "scan")
 
 
 class World:
@@ -62,8 +62,8 @@ class World:
                  sched_policy="default", reclaim_policy="default"):
         if engine not in ENGINES:
             raise SimulationError(
-                f"unknown engine {engine!r}: expected 'incremental', "
-                f"'scan', or 'vector'")
+                f"unknown engine {engine!r}: expected 'incremental' "
+                f"or 'scan'")
         if sys_ns_update_period is not None and not (
                 0 < sys_ns_update_period < math.inf):
             # Checked here, not when the first container arms its timer:
@@ -80,11 +80,8 @@ class World:
         self.host = HostCpus(ncpus)
         self.cgroups = CgroupRoot(self.host)
         self.cgroups.bind_clock(self.clock)
-        # "vector" is the incremental engine with the array solve
-        # backend (bit-identical; scalar fallback when numpy is absent).
         self.sched = FairScheduler(self.host, self.cgroups, sched_params,
                                    incremental=(engine != "scan"),
-                                   vector=(engine == "vector"),
                                    policy=sched_policy)
         self.mm = MemoryManager(memory, self.cgroups, mm_params,
                                 policy=reclaim_policy)

@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--write", action="store_true",
                     help=f"regenerate {GOLDEN_PATH}")
     ap.add_argument("--engine", default="incremental",
-                    choices=["incremental", "scan", "vector"])
+                    choices=["incremental", "scan"])
     args = ap.parse_args(argv)
     text = run_scenario(engine=args.engine)
     if args.write:

@@ -1,5 +1,7 @@
 """Tests for the discrete-event substrate (clock, events, RNG)."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -159,7 +161,7 @@ class TestNanTimesRejected:
     through NaN.  Every scheduling entry point must refuse it and leave
     the queue exactly as it was."""
 
-    NAN = float("nan")
+    BAD = float("nan")
 
     def setup_method(self):
         self.clock = SimClock()
@@ -175,27 +177,64 @@ class TestNanTimesRejected:
         assert self.before["pooled"] == 1
 
     @pytest.mark.parametrize("schedule", [
-        lambda loop, nan: loop.call_at(nan, lambda: None),
-        lambda loop, nan: loop.call_at(nan, lambda: None, transient=True),
-        lambda loop, nan: loop.call_after(nan, lambda: None),
-        lambda loop, nan: loop.call_after(nan, lambda: None, transient=True),
-        lambda loop, nan: loop.call_every(nan, lambda: None),
-        lambda loop, nan: loop.call_every(1.0, lambda: None, first_after=nan),
+        lambda loop, bad: loop.call_at(bad, lambda: None),
+        lambda loop, bad: loop.call_at(bad, lambda: None, transient=True),
+        lambda loop, bad: loop.call_after(bad, lambda: None),
+        lambda loop, bad: loop.call_after(bad, lambda: None, transient=True),
+        lambda loop, bad: loop.call_every(bad, lambda: None),
+        lambda loop, bad: loop.call_every(1.0, lambda: None, first_after=bad),
     ], ids=["call_at", "call_at_transient", "call_after",
             "call_after_transient", "call_every_period",
             "call_every_first_after"])
     def test_rejected_and_nothing_pushed(self, schedule):
         with pytest.raises(SimulationError):
-            schedule(self.loop, self.NAN)
+            schedule(self.loop, self.BAD)
         assert self.loop.integrity() == self.before
         assert len(self.loop) == 2
 
     def test_queue_order_and_clock_unaffected(self):
         with pytest.raises(SimulationError):
-            self.loop.call_at(self.NAN, lambda: self.fired.append("nan"))
+            self.loop.call_at(self.BAD, lambda: self.fired.append("bad"))
         self.loop.run_until(1.2)
         assert self.fired == [0.7, 1.0, 1.2]
         assert self.clock.now == 1.2
+
+
+class TestInfiniteTimesRejected(TestNanTimesRejected):
+    """An event at t=inf drags the clock to inf, and a timer with an
+    infinite period then re-arms at inf forever, so a run without a
+    deadline never returns.  Same contract as NaN: refuse, push nothing."""
+
+    BAD = math.inf
+
+
+class TestPeriodLeftByCallback:
+    """A timer callback may retune ``handle.period``; the firing that
+    leaves an unusable period must fail there, naming the timer, instead
+    of re-arming in the past (a later "clock moving backwards") or at
+    NaN."""
+
+    def setup_method(self):
+        self.clock = SimClock()
+        self.loop = EventLoop(self.clock)
+        self.loop.call_at(5.0, lambda: None)
+
+    @pytest.mark.parametrize("period", [-1.0, 0.0, float("nan"), math.inf])
+    def test_bad_period_raises_and_pushes_nothing(self, period):
+        def retune():
+            handle.period = period
+        handle = self.loop.call_every(1.0, retune, name="retuned")
+        before = self.loop.integrity()
+        with pytest.raises(SimulationError, match="retuned"):
+            self.loop.step()
+        assert self.clock.now == 1.0
+        # The timer's entry was popped and not re-armed; the one-shot
+        # is untouched.
+        assert len(self.loop) == 1
+        after = self.loop.integrity()
+        assert after["heap_size"] == before["heap_size"] - 1
+        assert after["flag_errors"] == after["pool_errors"] == 0
+        assert self.loop.next_event_time() == 5.0
 
 
 class TestTransientHandlePool:
